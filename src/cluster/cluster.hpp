@@ -216,6 +216,9 @@ class Cluster {
   std::uint64_t nn_failovers_ = 0;
   std::vector<std::unique_ptr<hdfs::Datanode>> datanodes_;
   std::vector<NodeId> datanode_ids_;
+  /// Datanode by NodeId value (null for the namenode and client hosts):
+  /// every packet delivery resolves its sink through this index.
+  std::vector<hdfs::Datanode*> datanode_by_node_;
   std::vector<ClientRuntime> clients_;
   std::vector<std::unique_ptr<hdfs::OutputStreamBase>> streams_;
   std::vector<std::unique_ptr<hdfs::DfsInputStream>> readers_;

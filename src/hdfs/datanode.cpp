@@ -207,6 +207,31 @@ std::uint64_t Datanode::staging_overflows(ClientId client) const {
   return it == staging_.end() ? 0 : it->second->overflow_events();
 }
 
+void Datanode::PacketWindow::reset(std::int64_t base) {
+  base_ = base;
+  slots_.clear();
+}
+
+Datanode::PacketState& Datanode::PacketWindow::at(std::int64_t seq) {
+  if (seq < base_) {
+    slots_.insert(slots_.begin(), static_cast<std::size_t>(base_ - seq),
+                  PacketState{});
+    base_ = seq;
+  }
+  const auto index = static_cast<std::size_t>(seq - base_);
+  if (index >= slots_.size()) slots_.resize(index + 1);
+  PacketState& st = slots_[index];
+  st.present = true;
+  return st;
+}
+
+Datanode::PacketState* Datanode::PacketWindow::find(std::int64_t seq) {
+  if (seq < base_) return nullptr;
+  const auto index = static_cast<std::size_t>(seq - base_);
+  if (index >= slots_.size() || !slots_[index].present) return nullptr;
+  return &slots_[index];
+}
+
 void Datanode::deliver_setup(const PipelineSetup& setup) {
   if (crashed_) return;
   auto it = std::find(setup.targets.begin(), setup.targets.end(), self_);
@@ -224,6 +249,7 @@ void Datanode::deliver_setup(const PipelineSetup& setup) {
     ctx.downstream = setup.targets[static_cast<std::size_t>(ctx.my_index + 1)];
   }
   ctx.resume_start_seq = setup.resume_offset / config_.transfer_payload();
+  ctx.packets.reset(ctx.resume_start_seq);
 
   if (!store_.has_replica(setup.block)) {
     SMARTH_CHECK(store_.create_replica(setup.block).ok());
@@ -312,7 +338,7 @@ void Datanode::process_packet(const WirePacket& packet, SimTime arrived_at) {
   }
 
   if (packet.last_in_block) ctx.last_seq = packet.seq;
-  PacketState& st = ctx.packets[packet.seq];
+  PacketState& st = ctx.packets.at(packet.seq);
   st.payload = packet.payload;
   st.arrived_at = arrived_at;
   staging_for(ctx.setup.client).reserve_forced(packet.payload);
@@ -348,7 +374,7 @@ void Datanode::on_packet_written(PipelineId pipeline,
   PipelineCtx& ctx = it->second;
 
   SMARTH_CHECK(store_.append(packet.block, packet.payload).ok());
-  PacketState& st = ctx.packets[packet.seq];
+  PacketState& st = ctx.packets.at(packet.seq);
   st.written = true;
   ++ctx.written_count;
 
@@ -372,7 +398,7 @@ void Datanode::deliver_downstream_ack(const PipelineAck& ack) {
     send_ack_upstream(ctx, ack);
     return;
   }
-  PacketState& st = ctx.packets[ack.seq];
+  PacketState& st = ctx.packets.at(ack.seq);
   if (!st.downstream_acked) {
     st.downstream_acked = true;
     // The mirrored copy is confirmed downstream: the staging slot frees.
@@ -383,9 +409,9 @@ void Datanode::deliver_downstream_ack(const PipelineAck& ack) {
 }
 
 void Datanode::maybe_ack_upstream(PipelineCtx& ctx, std::int64_t seq) {
-  auto it = ctx.packets.find(seq);
-  if (it == ctx.packets.end()) return;
-  PacketState& st = it->second;
+  PacketState* found = ctx.packets.find(seq);
+  if (found == nullptr) return;
+  PacketState& st = *found;
   if (st.ack_sent || !st.written) return;
   if (!ctx.is_last && !st.downstream_acked) return;
   st.ack_sent = true;
@@ -473,7 +499,7 @@ void Datanode::deliver_read_request(const ReadRequest& request) {
     return;
   }
   ++reads_served_;
-  serve_read_packet(request, /*seq=*/0, request.length);
+  serve_read_packet(request, request.length);
 }
 
 void Datanode::cancel_read(ReadId read) {
@@ -481,16 +507,19 @@ void Datanode::cancel_read(ReadId read) {
   metrics::global_registry().counter("hedge.cancelled").add();
 }
 
-void Datanode::serve_read_packet(ReadRequest request, std::int64_t seq,
-                                 Bytes remaining) {
+void Datanode::serve_read_packet(ReadRequest request, Bytes remaining) {
   if (crashed_ || remaining <= 0) return;
-  const Bytes payload = std::min(remaining, config_.transfer_payload());
+  const Bytes read_size = std::min(remaining, config_.transfer_payload());
   const auto read_ops =
-      static_cast<std::uint64_t>(config_.packets_in_transfer(payload));
+      static_cast<std::uint64_t>(config_.packets_in_transfer(read_size));
   const SimTime issued_at = sim_.now();
-  disk_->read(payload, read_ops, [this, request, seq, remaining, payload,
-                                  issued_at] {
+  // The capture stays within the disk callback's inline storage: payload and
+  // seq are recomputed from `remaining` (every packet but the last is full).
+  disk_->read(read_size, read_ops, [this, request, remaining, issued_at] {
     if (crashed_) return;
+    const Bytes payload = std::min(remaining, config_.transfer_payload());
+    const std::int64_t seq =
+        (request.length - remaining) / config_.transfer_payload();
     const SimDuration served = sim_.now() - issued_at;
     const auto it = cancelled_reads_.find(request.read.value());
     if (it != cancelled_reads_.end()) {
@@ -544,7 +573,7 @@ void Datanode::serve_read_packet(ReadRequest request, std::int64_t seq,
     transport_.send_read_packet(self_, request.reader_node, packet);
     // Next disk read proceeds without waiting for the network send; the
     // egress link and disk FIFO each pace themselves.
-    serve_read_packet(request, seq + 1, remaining - payload);
+    serve_read_packet(request, remaining - payload);
   });
 }
 

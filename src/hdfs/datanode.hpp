@@ -164,6 +164,25 @@ class Datanode : public PacketSink {
     bool downstream_acked = false;
     bool ack_sent = false;
     bool staging_released = false;
+    bool present = false;  ///< seq touched at all (see PacketWindow)
+  };
+
+  /// Per-packet state of one pipeline, indexed densely by seq. A pipeline's
+  /// packets cover one block from resume_start_seq up, so a vector window
+  /// replaces a per-seq hash map node per packet.
+  class PacketWindow {
+   public:
+    /// Empties the window and starts it at `base`. It grows with the
+    /// highest seq touched (a short final block stays small).
+    void reset(std::int64_t base);
+    /// State of `seq`, created on first touch (map operator[] semantics).
+    PacketState& at(std::int64_t seq);
+    /// State of `seq`, or nullptr when it was never touched.
+    PacketState* find(std::int64_t seq);
+
+   private:
+    std::int64_t base_ = 0;
+    std::vector<PacketState> slots_;
   };
 
   struct PipelineCtx {
@@ -175,7 +194,7 @@ class Datanode : public PacketSink {
     NodeId downstream;  // next datanode; invalid when is_last
     std::int64_t resume_start_seq = 0;
     std::int64_t last_seq = -1;  ///< set once the last_in_block packet arrives
-    std::unordered_map<std::int64_t, PacketState> packets;
+    PacketWindow packets;
     std::int64_t written_count = 0;
     std::int64_t acked_count = 0;
     Bytes staging_held = 0;  ///< bytes this pipeline holds in staging
@@ -204,8 +223,7 @@ class Datanode : public PacketSink {
   storage::StagingBuffer& staging_for(ClientId client);
   /// Streams one read packet (disk read then network send), then chains the
   /// next one; the disk FIFO interleaves these with pipeline writes.
-  void serve_read_packet(ReadRequest request, std::int64_t seq,
-                         Bytes remaining);
+  void serve_read_packet(ReadRequest request, Bytes remaining);
 
   sim::Simulation& sim_;
   Transport& transport_;

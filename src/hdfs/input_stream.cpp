@@ -22,6 +22,7 @@ DfsInputStream::~DfsInputStream() {
   watchdog_.cancel();
   hedge_timer_.cancel();
   cold_start_deadline_.cancel();
+  locate_retry_.cancel();
   *alive_ = false;
 }
 
@@ -45,11 +46,16 @@ void DfsInputStream::fetch_locations() {
       },
       [this, alive = alive_](Result<std::vector<LocatedBlock>> result) {
         if (!*alive || finished_) return;
+        if (!result.ok() && result.error().code == "overloaded") {
+          retry_locations_after_shed();
+          return;
+        }
         if (!result.ok()) {
           finish(true, "getBlockLocations failed: " +
                            result.error().to_string());
           return;
         }
+        overload_wait_started_ = -1;
         blocks_ = result.value();
         block_sizes_.clear();
         for (const LocatedBlock& block : blocks_) {
@@ -61,7 +67,27 @@ void DfsInputStream::fetch_locations() {
           return;
         }
         start_block(0);
+      },
+      {},
+      [] {
+        // Admission control shed the call: answer with a typed rejection
+        // instead of leaving the read waiting forever.
+        return Result<std::vector<LocatedBlock>>(
+            Error{"overloaded", "namenode shed getBlockLocations"});
       });
+}
+
+void DfsInputStream::retry_locations_after_shed() {
+  const SimTime now = deps_.sim.now();
+  if (overload_wait_started_ < 0) overload_wait_started_ = now;
+  const SimDuration waited = now - overload_wait_started_;
+  if (waited > deps_.config.overload_retry_budget) {
+    finish(true, "getBlockLocations: namenode still shedding after " +
+                     std::to_string(to_seconds(waited)) + "s");
+    return;
+  }
+  locate_retry_ = deps_.sim.schedule_after(
+      deps_.config.overload_retry_interval, [this] { fetch_locations(); });
 }
 
 void DfsInputStream::start_block(std::size_t block_index) {
@@ -474,6 +500,7 @@ void DfsInputStream::finish(bool failed, const std::string& reason) {
   watchdog_.cancel();
   hedge_timer_.cancel();
   cold_start_deadline_.cancel();
+  locate_retry_.cancel();
   if (hedge_.active()) {
     cancel_attempt(hedge_, /*lost_race=*/true);
   }

@@ -119,6 +119,9 @@ class DfsInputStream : public ReadSink {
   };
 
   void fetch_locations();
+  /// The namenode shed getBlockLocations: re-poll at overload_retry_interval
+  /// while the wait stays inside overload_retry_budget, else fail cleanly.
+  void retry_locations_after_shed();
   void start_block(std::size_t block_index);
   void request_from_replica();
   void on_block_done();
@@ -194,6 +197,10 @@ class DfsInputStream : public ReadSink {
   sim::EventHandle hedge_timer_;
   /// One-shot cold-start completion deadline for the current block.
   sim::EventHandle cold_start_deadline_;
+  /// Pending getBlockLocations re-poll after an overload shed.
+  sim::EventHandle locate_retry_;
+  /// When the current overload wait began (-1: not waiting).
+  SimTime overload_wait_started_ = -1;
   int hedges_this_read_ = 0;
 
   ReadStats stats_;

@@ -4,6 +4,17 @@
 
 namespace smarth::hdfs {
 
+namespace {
+/// Wraps a per-packet or per-ACK delivery lambda, proving at compile time
+/// that it rides inline in the callback (no heap allocation per message).
+template <typename F>
+net::Network::DeliveryCallback inline_delivery(F&& deliver) {
+  static_assert(net::Network::DeliveryCallback::stores_inline<F>(),
+                "packet-path delivery lambda outgrew SmallFn inline storage");
+  return net::Network::DeliveryCallback(std::forward<F>(deliver));
+}
+}  // namespace
+
 Transport::Transport(net::Network& network, const HdfsConfig& config,
                      SinkResolver resolver)
     : network_(network), config_(config), resolver_(std::move(resolver)) {
@@ -28,33 +39,33 @@ void Transport::send_packet(NodeId from, NodeId to, WirePacket packet) {
   const net::FlowKey flow =
       static_cast<net::FlowKey>(packet.pipeline.value()) + 1;
   network_.send(from, to, config_.transfer_wire_size(packet.payload),
-                [this, to, packet] {
+                inline_delivery([this, to, packet] {
                   if (PacketSink* sink = resolver_.packet_sink(to)) {
                     sink->deliver_packet(packet);
                   }
-                },
+                }),
                 net::LinkPriority::kBulk, flow);
 }
 
 void Transport::send_ack_to_datanode(NodeId from, NodeId to, PipelineAck ack) {
   network_.send(
       from, to, config_.ack_wire,
-      [this, to, ack] {
+      inline_delivery([this, to, ack] {
         if (PacketSink* sink = resolver_.packet_sink(to)) {
           sink->deliver_downstream_ack(ack);
         }
-      },
+      }),
       net::LinkPriority::kControl);
 }
 
 void Transport::send_ack_to_client(NodeId from, NodeId to, PipelineAck ack) {
   network_.send(
       from, to, config_.ack_wire,
-      [this, to, ack] {
+      inline_delivery([this, to, ack] {
         if (AckSink* sink = resolver_.ack_sink(to, ack.pipeline)) {
           sink->deliver_ack(ack);
         }
-      },
+      }),
       net::LinkPriority::kControl);
 }
 
@@ -62,11 +73,11 @@ void Transport::send_setup_ack_to_datanode(NodeId from, NodeId to,
                                            SetupAck ack) {
   network_.send(
       from, to, config_.ack_wire,
-      [this, to, ack] {
+      inline_delivery([this, to, ack] {
         if (PacketSink* sink = resolver_.packet_sink(to)) {
           sink->deliver_downstream_setup_ack(ack);
         }
-      },
+      }),
       net::LinkPriority::kControl);
 }
 
@@ -74,22 +85,22 @@ void Transport::send_setup_ack_to_client(NodeId from, NodeId to,
                                          SetupAck ack) {
   network_.send(
       from, to, config_.ack_wire,
-      [this, to, ack] {
+      inline_delivery([this, to, ack] {
         if (AckSink* sink = resolver_.ack_sink(to, ack.pipeline)) {
           sink->deliver_setup_ack(ack);
         }
-      },
+      }),
       net::LinkPriority::kControl);
 }
 
 void Transport::send_fnfa(NodeId from, NodeId to, FnfaMessage fnfa) {
   network_.send(
       from, to, config_.fnfa_wire,
-      [this, to, fnfa] {
+      inline_delivery([this, to, fnfa] {
         if (AckSink* sink = resolver_.ack_sink(to, fnfa.pipeline)) {
           sink->deliver_fnfa(fnfa);
         }
-      },
+      }),
       net::LinkPriority::kControl);
 }
 
@@ -97,11 +108,11 @@ void Transport::send_read_request(NodeId from, NodeId to,
                                   ReadRequest request) {
   network_.send(
       from, to, config_.setup_wire,
-      [this, to, request] {
+      inline_delivery([this, to, request] {
         if (PacketSink* sink = resolver_.packet_sink(to)) {
           sink->deliver_read_request(request);
         }
-      },
+      }),
       net::LinkPriority::kControl);
 }
 
@@ -115,13 +126,13 @@ void Transport::send_read_packet(NodeId from, NodeId to, ReadPacket packet) {
       (net::FlowKey{1} << 32) + static_cast<net::FlowKey>(packet.read.value());
   network_.send(
       from, to, wire,
-      [this, to, packet] {
+      inline_delivery([this, to, packet] {
         if (resolver_.read_sink) {
           if (ReadSink* sink = resolver_.read_sink(to, packet.read)) {
             sink->deliver_read_packet(packet);
           }
         }
-      },
+      }),
       priority, flow);
 }
 

@@ -16,16 +16,54 @@ void Link::set_latency(SimDuration latency) {
   latency_ = latency;
 }
 
+std::uint32_t Link::acquire_slot(Bytes size, DeliveryCallback cb) {
+  std::uint32_t slot = free_slots_;
+  if (slot != kNoSlot) {
+    free_slots_ = slots_[slot].next;
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  slots_[slot].size = size;
+  slots_[slot].on_delivered = std::move(cb);
+  return slot;
+}
+
+void Link::push(Fifo& fifo, std::uint32_t slot) {
+  slots_[slot].next = kNoSlot;
+  if (fifo.empty()) {
+    fifo.head = slot;
+  } else {
+    slots_[fifo.tail].next = slot;
+  }
+  fifo.tail = slot;
+}
+
+std::uint32_t Link::pop(Fifo& fifo) {
+  const std::uint32_t slot = fifo.head;
+  fifo.head = slots_[slot].next;
+  if (fifo.empty()) fifo.tail = kNoSlot;
+  return slot;
+}
+
+Link::Fifo& Link::flow_queue(FlowKey flow) {
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    if (ring_[i].flow == flow) return ring_[i].queue;
+  }
+  ring_.push_back(ActiveFlow{flow, {}});
+  return ring_[ring_.size() - 1].queue;
+}
+
 void Link::transmit(Bytes size, DeliveryCallback on_delivered,
                     LinkPriority priority, FlowKey flow) {
   SMARTH_CHECK_MSG(size >= 0, "negative message size on " << name_);
   SMARTH_CHECK(static_cast<bool>(on_delivered));
+  const std::uint32_t slot = acquire_slot(size, std::move(on_delivered));
   if (priority == LinkPriority::kControl) {
-    control_queue_.push_back(Pending{size, std::move(on_delivered)});
+    push(control_queue_, slot);
+    ++control_queued_;
   } else {
-    auto [it, inserted] = flow_queues_.try_emplace(flow);
-    if (it->second.empty()) active_flows_.push_back(flow);
-    it->second.push_back(Pending{size, std::move(on_delivered)});
+    push(flow_queue(flow), slot);
     ++bulk_queued_;
   }
   queued_bytes_ += size;
@@ -42,49 +80,45 @@ void Link::resume() {
 
 void Link::try_start_next() {
   if (busy_ || paused_) return;
-  Pending next{0, nullptr};
+  std::uint32_t slot = kNoSlot;
   if (!control_queue_.empty()) {
-    next = std::move(control_queue_.front());
-    control_queue_.pop_front();
-  } else if (!active_flows_.empty()) {
-    // Round-robin over flows with queued bulk messages.
-    const FlowKey flow = active_flows_.front();
-    active_flows_.pop_front();
-    auto it = flow_queues_.find(flow);
-    SMARTH_DCHECK(it != flow_queues_.end() && !it->second.empty());
-    next = std::move(it->second.front());
-    it->second.pop_front();
+    slot = pop(control_queue_);
+    --control_queued_;
+  } else if (!ring_.empty()) {
+    // Round-robin over flows with queued bulk messages: serve the front
+    // flow once, then send it to the back if it still has messages.
+    ActiveFlow active = ring_.pop_front();
+    slot = pop(active.queue);
     --bulk_queued_;
-    if (!it->second.empty()) {
-      active_flows_.push_back(flow);  // stays in the service ring
-    } else {
-      flow_queues_.erase(it);  // bound the map to live flows
-    }
+    if (!active.queue.empty()) ring_.push_back(active);
   } else {
     return;
   }
-  queued_bytes_ -= next.size;
+  Slot& next = slots_[slot];
+  current_size_ = next.size;
+  current_ = std::move(next.on_delivered);
+  next.next = free_slots_;
+  free_slots_ = slot;
+
+  queued_bytes_ -= current_size_;
   busy_ = true;
   busy_since_ = sim_.now();
-  const SimDuration serialize = capacity_.transmit_time(next.size);
-  // Serialization completes after `serialize`; the message then propagates
-  // for `latency_` without occupying the link (cut-through for the wire).
-  sim_.post_after(
-      serialize, "link.serialize",
-      [this, size = next.size, cb = std::move(next.on_delivered)]() mutable {
-        finish_current(size, std::move(cb));
-      });
+  // Serialization completes after the transmit time; the message then
+  // propagates for `latency_` without occupying the link (cut-through for
+  // the wire).
+  sim_.post_after(capacity_.transmit_time(current_size_), "link.serialize",
+                  [this] { finish_current(); });
 }
 
-void Link::finish_current(Bytes size, DeliveryCallback cb) {
+void Link::finish_current() {
   busy_ = false;
   busy_accum_ += sim_.now() - busy_since_;
-  bytes_transmitted_ += size;
+  bytes_transmitted_ += current_size_;
   ++messages_transmitted_;
   if (latency_ > 0) {
-    sim_.post_after(latency_, "link.deliver", [cb = std::move(cb)] { cb(); });
+    sim_.post_after(latency_, "link.deliver", std::move(current_));
   } else {
-    sim_.post_now("link.deliver", [cb = std::move(cb)] { cb(); });
+    sim_.post_now("link.deliver", std::move(current_));
   }
   try_start_next();
 }

@@ -6,12 +6,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "common/units.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/simulation.hpp"
 
 namespace smarth::net {
@@ -31,7 +30,9 @@ inline constexpr FlowKey kDefaultFlow = 0;
 
 class Link {
  public:
-  using DeliveryCallback = std::function<void()>;
+  /// The event core's own callback type: a delivery is posted as-is, with no
+  /// second layer of type erasure, and captures up to 64 bytes stay inline.
+  using DeliveryCallback = sim::Simulation::Callback;
 
   Link(sim::Simulation& sim, std::string name, Bandwidth capacity,
        SimDuration latency);
@@ -60,9 +61,7 @@ class Link {
 
   // --- Introspection / statistics ------------------------------------------
   bool busy() const { return busy_; }
-  std::size_t queued_count() const {
-    return bulk_queued_ + control_queue_.size();
-  }
+  std::size_t queued_count() const { return bulk_queued_ + control_queued_; }
   Bytes queued_bytes() const { return queued_bytes_; }
   Bytes bytes_transmitted() const { return bytes_transmitted_; }
   std::uint64_t messages_transmitted() const { return messages_transmitted_; }
@@ -70,28 +69,56 @@ class Link {
   SimDuration busy_time() const;
 
  private:
-  struct Pending {
-    Bytes size;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// One queued message. Slots live in a pool recycled through a free list
+  /// and chain by index into intrusive FIFOs, so queueing allocates nothing
+  /// once the pool has grown to the link's peak backlog.
+  struct Slot {
+    Bytes size = 0;
+    std::uint32_t next = kNoSlot;
     DeliveryCallback on_delivered;
   };
+  struct Fifo {
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
+    bool empty() const { return head == kNoSlot; }
+  };
+  /// A flow with queued bulk messages.
+  struct ActiveFlow {
+    FlowKey flow = kDefaultFlow;
+    Fifo queue;
+  };
 
+  std::uint32_t acquire_slot(Bytes size, DeliveryCallback cb);
+  void push(Fifo& fifo, std::uint32_t slot);
+  std::uint32_t pop(Fifo& fifo);
+  /// The queue of `flow`, joining the back of the service ring if the flow
+  /// has nothing queued yet.
+  Fifo& flow_queue(FlowKey flow);
   void try_start_next();
-  void finish_current(Bytes size, DeliveryCallback cb);
+  void finish_current();
 
   sim::Simulation& sim_;
   std::string name_;
   Bandwidth capacity_;
   SimDuration latency_;
 
-  /// Bulk lane: one FIFO per flow, serviced round-robin. active_flows_
-  /// holds the service order; a flow leaves the ring when its queue drains.
-  std::unordered_map<FlowKey, std::deque<Pending>> flow_queues_;
-  std::deque<FlowKey> active_flows_;
-  std::deque<Pending> control_queue_;  // control messages (bypass bulk)
+  std::vector<Slot> slots_;
+  std::uint32_t free_slots_ = kNoSlot;
+  /// Bulk lane: flows with queued messages, in round-robin service order. A
+  /// flow is in the ring exactly while its queue is non-empty; ring sizes
+  /// stay small (one entry per live pipeline or read), so lookup scans.
+  sim::RingQueue<ActiveFlow> ring_;
+  Fifo control_queue_;  // control messages (bypass bulk)
   std::size_t bulk_queued_ = 0;
+  std::size_t control_queued_ = 0;
   Bytes queued_bytes_ = 0;
   bool busy_ = false;
   bool paused_ = false;
+  /// The message being serialized (valid while busy_).
+  Bytes current_size_ = 0;
+  DeliveryCallback current_;
 
   Bytes bytes_transmitted_ = 0;
   std::uint64_t messages_transmitted_ = 0;

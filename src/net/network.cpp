@@ -1,5 +1,7 @@
 #include "net/network.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "common/log.hpp"
 
@@ -22,6 +24,8 @@ NodeId Network::add_node(const std::string& name, const std::string& rack,
                                              *cross_throttle_, 0);
   }
   ports_.push_back(std::move(p));
+  // A partition may name a rack that only now gets its first host.
+  if (!partitions_.empty()) index_partitions();
   return id;
 }
 
@@ -79,19 +83,20 @@ void Network::set_shared_rack_uplink(Bandwidth bw) {
     return;
   }
   shared_uplink_rate_ = bw;
-  for (auto& [rack, link] : rack_uplinks_) link->set_capacity(bw);
+  for (auto& link : rack_uplinks_) {
+    if (link) link->set_capacity(bw);
+  }
 }
 
-Link* Network::rack_uplink(const std::string& rack) {
+Link* Network::rack_uplink(std::size_t rack) {
   if (!shared_uplink_rate_) return nullptr;
-  auto it = rack_uplinks_.find(rack);
-  if (it == rack_uplinks_.end()) {
-    it = rack_uplinks_
-             .emplace(rack, std::make_unique<Link>(sim_, rack + ".uplink",
-                                                   *shared_uplink_rate_, 0))
-             .first;
+  if (rack_uplinks_.size() <= rack) rack_uplinks_.resize(rack + 1);
+  std::unique_ptr<Link>& link = rack_uplinks_[rack];
+  if (!link) {
+    link = std::make_unique<Link>(sim_, topology_.racks()[rack] + ".uplink",
+                                  *shared_uplink_rate_, 0);
   }
-  return it->second.get();
+  return link.get();
 }
 
 void Network::set_rack_partition(const std::string& rack_a,
@@ -103,15 +108,27 @@ void Network::set_rack_partition(const std::string& rack_a,
   } else {
     partitions_.erase(key);
   }
+  index_partitions();
+}
+
+void Network::index_partitions() {
+  severed_.clear();
+  for (const auto& [rack_a, rack_b] : partitions_) {
+    const auto a = topology_.find_rack(rack_a);
+    const auto b = topology_.find_rack(rack_b);
+    if (!a || !b || *a == *b) continue;
+    severed_.emplace_back(std::min(*a, *b), std::max(*a, *b));
+  }
 }
 
 bool Network::partitioned(NodeId a, NodeId b) const {
-  if (partitions_.empty()) return false;
-  std::string ra = topology_.rack_of(a);
-  std::string rb = topology_.rack_of(b);
+  if (severed_.empty()) return false;
+  std::size_t ra = topology_.rack_index(a);
+  std::size_t rb = topology_.rack_index(b);
   if (ra == rb) return false;
   if (rb < ra) std::swap(ra, rb);
-  return partitions_.count(std::make_pair(ra, rb)) > 0;
+  return std::find(severed_.begin(), severed_.end(), std::make_pair(ra, rb)) !=
+         severed_.end();
 }
 
 void Network::set_node_isolated(NodeId node, bool isolated) {
@@ -150,21 +167,38 @@ Bytes Network::bytes_received(NodeId node) const {
   return port(node).ingress->bytes_transmitted();
 }
 
-void Network::traverse(std::vector<Link*> chain, std::size_t index, Bytes size,
-                       LinkPriority priority, FlowKey flow,
-                       DeliveryCallback done) {
-  if (index == chain.size()) {
-    done();
+Network::InFlight* Network::acquire_record() {
+  InFlight* rec = free_records_;
+  if (rec != nullptr) {
+    free_records_ = rec->next_free;
+  } else {
+    rec = &records_.emplace_back();
+  }
+  rec->hop_count = 0;
+  rec->next_hop = 0;
+  return rec;
+}
+
+void Network::transmit_hop(InFlight* rec) {
+  rec->hops[rec->next_hop]->transmit(
+      rec->size, [this, rec] { on_hop_done(rec); }, rec->priority, rec->flow);
+}
+
+void Network::on_hop_done(InFlight* rec) {
+  if (++rec->next_hop < rec->hop_count) {
+    transmit_hop(rec);
     return;
   }
-  Link* hop = chain[index];
-  hop->transmit(size,
-                [this, chain = std::move(chain), index, size, priority, flow,
-                 done = std::move(done)]() mutable {
-                  traverse(std::move(chain), index + 1, size, priority, flow,
-                           std::move(done));
-                },
-                priority, flow);
+  DeliveryCallback cb = std::move(rec->on_delivered);
+  const SimDuration propagation = rec->propagation;
+  rec->next_free = free_records_;
+  free_records_ = rec;
+  ++messages_delivered_;
+  if (propagation > 0) {
+    sim_.schedule_after(propagation, std::move(cb));
+  } else {
+    cb();
+  }
 }
 
 void Network::send(NodeId src, NodeId dst, Bytes wire_size,
@@ -187,31 +221,25 @@ void Network::send(NodeId src, NodeId dst, Bytes wire_size,
   Port& dp = port(dst);
   const bool cross = !topology_.same_rack(src, dst);
 
-  std::vector<Link*> chain;
-  chain.reserve(5);
-  chain.push_back(sp.egress.get());
+  InFlight* rec = acquire_record();
+  rec->hops[rec->hop_count++] = sp.egress.get();
   if (cross) {
-    if (sp.cross_egress) chain.push_back(sp.cross_egress.get());
-    if (Link* uplink = rack_uplink(topology_.rack_of(src))) {
-      chain.push_back(uplink);
+    if (sp.cross_egress) rec->hops[rec->hop_count++] = sp.cross_egress.get();
+    if (Link* uplink = rack_uplink(topology_.rack_index(src))) {
+      rec->hops[rec->hop_count++] = uplink;
     }
-    if (dp.cross_ingress) chain.push_back(dp.cross_ingress.get());
+    if (dp.cross_ingress) rec->hops[rec->hop_count++] = dp.cross_ingress.get();
   }
-  chain.push_back(dp.ingress.get());
-
-  const SimDuration propagation =
-      cross ? config_.cross_rack_latency : config_.same_rack_latency;
+  rec->hops[rec->hop_count++] = dp.ingress.get();
+  rec->size = wire_size;
+  rec->priority = priority;
+  rec->flow = flow;
   // Propagation is paid once, after the full store-and-forward chain; it does
   // not occupy any link.
-  traverse(std::move(chain), 0, wire_size, priority, flow,
-           [this, propagation, cb = std::move(on_delivered)]() mutable {
-             ++messages_delivered_;
-             if (propagation > 0) {
-               sim_.schedule_after(propagation, std::move(cb));
-             } else {
-               cb();
-             }
-           });
+  rec->propagation =
+      cross ? config_.cross_rack_latency : config_.same_rack_latency;
+  rec->on_delivered = std::move(on_delivered);
+  transmit_hop(rec);
 }
 
 }  // namespace smarth::net

@@ -6,13 +6,14 @@
 // two hosts is FIFO.
 #pragma once
 
-#include <functional>
+#include <array>
+#include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <utility>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -34,7 +35,10 @@ struct NetworkConfig {
 
 class Network {
  public:
-  using DeliveryCallback = std::function<void()>;
+  /// Same type as Link::DeliveryCallback: a send's callback is moved, never
+  /// re-wrapped, from the caller into the in-flight record and finally into
+  /// the event queue.
+  using DeliveryCallback = sim::Simulation::Callback;
 
   Network(sim::Simulation& sim, NetworkConfig config = {});
 
@@ -116,13 +120,37 @@ class Network {
     Bandwidth nic;
   };
 
+  /// Longest hop chain: egress, cross-rack shaper, rack uplink, remote
+  /// cross-rack shaper, ingress.
+  static constexpr std::size_t kMaxHops = 5;
+
+  /// One message in flight through its store-and-forward hop chain. Records
+  /// are pooled and recycled through a free list, so a send allocates
+  /// nothing in steady state; each hop's link callback captures only
+  /// {this, record}.
+  struct InFlight {
+    std::array<Link*, kMaxHops> hops{};
+    std::uint8_t hop_count = 0;
+    std::uint8_t next_hop = 0;
+    LinkPriority priority = LinkPriority::kBulk;
+    Bytes size = 0;
+    FlowKey flow = kDefaultFlow;
+    SimDuration propagation = 0;
+    InFlight* next_free = nullptr;
+    DeliveryCallback on_delivered;
+  };
+
   Port& port(NodeId id);
   const Port& port(NodeId id) const;
-  Link* rack_uplink(const std::string& rack);
+  Link* rack_uplink(std::size_t rack);
+  /// Re-derives severed_ from partitions_ (rack names -> rack indices).
+  void index_partitions();
 
-  /// Transmits through `chain[index..]`, then fires `done`.
-  void traverse(std::vector<Link*> chain, std::size_t index, Bytes size,
-                LinkPriority priority, FlowKey flow, DeliveryCallback done);
+  InFlight* acquire_record();
+  /// Puts `rec` on its next hop.
+  void transmit_hop(InFlight* rec);
+  /// A hop finished: forward to the next one, or deliver after propagation.
+  void on_hop_done(InFlight* rec);
 
   sim::Simulation& sim_;
   NetworkConfig config_;
@@ -130,12 +158,19 @@ class Network {
   std::vector<Port> ports_;
   std::optional<Bandwidth> cross_throttle_;
   std::optional<Bandwidth> shared_uplink_rate_;
-  std::unordered_map<std::string, std::unique_ptr<Link>> rack_uplinks_;
+  /// Shared uplinks indexed by rack index, created on first use.
+  std::vector<std::unique_ptr<Link>> rack_uplinks_;
   /// Severed rack pairs, stored with rack_a < rack_b.
   std::set<std::pair<std::string, std::string>> partitions_;
+  /// partitions_ as (lower, higher) rack-index pairs of registered racks,
+  /// so the per-send check compares integers instead of copying names.
+  std::vector<std::pair<std::size_t, std::size_t>> severed_;
   std::vector<bool> isolated_;
   std::uint64_t messages_delivered_ = 0;
   std::uint64_t messages_dropped_ = 0;
+  /// In-flight record pool; a deque keeps record addresses stable.
+  std::deque<InFlight> records_;
+  InFlight* free_records_ = nullptr;
 };
 
 }  // namespace smarth::net

@@ -9,11 +9,14 @@ NodeId Topology::add_host(const std::string& name, const std::string& rack) {
   SMARTH_CHECK_MSG(by_name_.find(name) == by_name_.end(),
                    "duplicate host name: " << name);
   const NodeId id{static_cast<std::int64_t>(hosts_.size())};
-  hosts_.push_back(HostInfo{name, rack});
+  auto [it, inserted] = rack_ids_.try_emplace(rack, rack_order_.size());
+  if (inserted) {
+    rack_order_.push_back(rack);
+    rack_hosts_.emplace_back();
+  }
+  hosts_.push_back(HostInfo{name, rack, it->second});
   by_name_.emplace(name, id);
-  auto [it, inserted] = racks_.try_emplace(rack);
-  if (inserted) rack_order_.push_back(rack);
-  it->second.push_back(id);
+  rack_hosts_[it->second].push_back(id);
   return id;
 }
 
@@ -35,8 +38,14 @@ std::string Topology::network_location(NodeId id) const {
   return h.rack + "/" + h.name;
 }
 
+std::optional<std::size_t> Topology::find_rack(const std::string& rack) const {
+  auto it = rack_ids_.find(rack);
+  if (it == rack_ids_.end()) return std::nullopt;
+  return it->second;
+}
+
 bool Topology::same_rack(NodeId a, NodeId b) const {
-  return info(a).rack == info(b).rack;
+  return info(a).rack_index == info(b).rack_index;
 }
 
 int Topology::distance(NodeId a, NodeId b) const {
@@ -46,9 +55,9 @@ int Topology::distance(NodeId a, NodeId b) const {
 
 const std::vector<NodeId>& Topology::hosts_on_rack(
     const std::string& rack) const {
-  auto it = racks_.find(rack);
-  SMARTH_CHECK_MSG(it != racks_.end(), "unknown rack: " << rack);
-  return it->second;
+  auto it = rack_ids_.find(rack);
+  SMARTH_CHECK_MSG(it != rack_ids_.end(), "unknown rack: " << rack);
+  return rack_hosts_[it->second];
 }
 
 std::vector<NodeId> Topology::all_hosts() const {

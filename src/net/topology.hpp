@@ -3,6 +3,7 @@
 // placement and the tc-style cross-rack shapers both consult this structure.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -19,10 +20,14 @@ class Topology {
   NodeId add_host(const std::string& name, const std::string& rack);
 
   std::size_t host_count() const { return hosts_.size(); }
-  std::size_t rack_count() const { return racks_.size(); }
+  std::size_t rack_count() const { return rack_order_.size(); }
 
   const std::string& host_name(NodeId id) const;
   const std::string& rack_of(NodeId id) const;
+  /// Dense rack index (position in racks()); cheap to compare per message.
+  std::size_t rack_index(NodeId id) const { return info(id).rack_index; }
+  /// Index of a registered rack, or nullopt.
+  std::optional<std::size_t> find_rack(const std::string& rack) const;
   /// Full network path, HDFS style: "/rack0/dn3".
   std::string network_location(NodeId id) const;
 
@@ -44,11 +49,14 @@ class Topology {
   struct HostInfo {
     std::string name;
     std::string rack;
+    std::size_t rack_index = 0;
   };
   std::vector<HostInfo> hosts_;  // indexed by NodeId value
   std::unordered_map<std::string, NodeId> by_name_;
-  std::unordered_map<std::string, std::vector<NodeId>> racks_;
+  std::unordered_map<std::string, std::size_t> rack_ids_;
+  // Both indexed by rack index, in first-registration order.
   std::vector<std::string> rack_order_;
+  std::vector<std::vector<NodeId>> rack_hosts_;
 
   const HostInfo& info(NodeId id) const;
 };

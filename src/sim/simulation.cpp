@@ -236,10 +236,11 @@ struct Simulation::Impl {
       if (live_count == 0 || rec->time > max_t) max_t = rec->time;
       ++live_count;
     }
-    std::vector<EventRecord*> pending;
-    pending.swap(overflow);
+    // Redistributes in place and then clears, so the overflow list keeps
+    // its capacity (a swap-out would reallocate it on every rebuild).
     if (live_count == 0) {
-      for (EventRecord* rec : pending) pool->release(rec);
+      for (EventRecord* rec : overflow) pool->release(rec);
+      overflow.clear();
       return;
     }
     if (live_count <= 32 || min_t == max_t) {
@@ -247,13 +248,14 @@ struct Simulation::Impl {
       bucket_width = 0;
       cursor = kBuckets;
       active_end = max_t + 1;
-      for (EventRecord* rec : pending) {
+      for (EventRecord* rec : overflow) {
         if (rec->state == EventRecord::State::kCancelled) {
           pool->release(rec);
         } else {
           active.push_back(rec);
         }
       }
+      overflow.clear();
       std::make_heap(active.begin(), active.end(), FiresLater{});
       return;
     }
@@ -261,7 +263,7 @@ struct Simulation::Impl {
     bucket_width = (max_t - min_t) / static_cast<SimDuration>(kBuckets) + 1;
     cursor = 0;
     active_end = ladder_base;
-    for (EventRecord* rec : pending) {
+    for (EventRecord* rec : overflow) {
       if (rec->state == EventRecord::State::kCancelled) {
         pool->release(rec);
         continue;
@@ -272,6 +274,7 @@ struct Simulation::Impl {
       buckets[idx].push_back(rec);
       ++ladder_count;
     }
+    overflow.clear();
   }
 
   /// Pending category histogram, for the event-limit diagnostic.

@@ -80,8 +80,11 @@ class EventHandle {
 class Simulation {
  public:
   /// Event callbacks live inline in the pooled event record; captures up to
-  /// 64 bytes (a couple of pointers plus a moved-in std::function) never
-  /// touch the heap.
+  /// 64 bytes never touch the heap. The packet path (Link, Network,
+  /// DiskDevice) takes this same type, so a delivery callback moves from the
+  /// transport into the event queue without being re-wrapped. A moved-in
+  /// std::function fits too, but its own target is heap-allocated for any
+  /// capture above two pointers, so hot paths pass lambdas directly.
   using Callback = SmallFn<64>;
 
   explicit Simulation(std::uint64_t seed = 0x5eed);

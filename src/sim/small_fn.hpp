@@ -62,6 +62,15 @@ class SmallFn {
     }
   }
 
+  /// True when a callable of type F is stored inline (no heap allocation);
+  /// hot-path call sites static_assert this on their lambdas.
+  template <typename F>
+  static constexpr bool stores_inline() {
+    using D = std::decay_t<F>;
+    return sizeof(D) <= Capacity && alignof(D) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
+
  private:
   struct Ops {
     void (*invoke)(void*);
@@ -70,12 +79,6 @@ class SmallFn {
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void*);
   };
-
-  template <typename F>
-  static constexpr bool fits_inline() {
-    return sizeof(F) <= Capacity && alignof(F) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<F>;
-  }
 
   template <typename F>
   static const Ops* inline_ops() {
@@ -106,7 +109,7 @@ class SmallFn {
   template <typename F>
   void emplace(F&& f) {
     using D = std::decay_t<F>;
-    if constexpr (fits_inline<D>()) {
+    if constexpr (stores_inline<D>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       ops_ = inline_ops<D>();
     } else {

@@ -62,30 +62,33 @@ void DiskDevice::start_next() {
     busy_ = false;
     return;
   }
-  Pending op = std::move(queue_.front());
-  queue_.pop_front();
+  current_ = queue_.pop_front();
   busy_ = true;
   busy_since_ = sim_.now();
   // A coalesced request (ops > 1) pays the per-op overhead once per logical
   // operation so block-fidelity runs charge the same seek/syscall budget a
   // packet-granularity run would.
   const SimDuration per_op =
-      static_cast<SimDuration>(op.ops) * per_op_overhead_;
+      static_cast<SimDuration>(current_.ops) * per_op_overhead_;
   const SimDuration service =
-      per_op + (op.is_read ? read_bandwidth() : write_bandwidth_)
-                   .transmit_time(op.size);
-  sim_.post_after(service, "disk.io", [this, op = std::move(op)]() mutable {
-    busy_accum_ += sim_.now() - busy_since_;
-    busy_ = false;
-    if (op.is_read) {
-      bytes_read_ += op.size;
-    } else {
-      bytes_written_ += op.size;
-    }
-    ops_completed_ += op.ops;
-    op.on_done();
-    if (!busy_) start_next();
-  });
+      per_op + (current_.is_read ? read_bandwidth() : write_bandwidth_)
+                   .transmit_time(current_.size);
+  sim_.post_after(service, "disk.io", [this] { finish_current(); });
+}
+
+void DiskDevice::finish_current() {
+  busy_accum_ += sim_.now() - busy_since_;
+  busy_ = false;
+  if (current_.is_read) {
+    bytes_read_ += current_.size;
+  } else {
+    bytes_written_ += current_.size;
+  }
+  ops_completed_ += current_.ops;
+  // The callback may enqueue and start the next op, overwriting current_.
+  WriteCallback done = std::move(current_.on_done);
+  done();
+  if (!busy_) start_next();
 }
 
 SimDuration DiskDevice::busy_time() const {

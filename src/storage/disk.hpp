@@ -4,18 +4,18 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 
 #include "common/units.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/simulation.hpp"
 
 namespace smarth::storage {
 
 class DiskDevice {
  public:
-  using WriteCallback = std::function<void()>;
+  /// The event core's callback type: captures up to 64 bytes stay inline.
+  using WriteCallback = sim::Simulation::Callback;
 
   /// Reads default to `read_ratio * write_bandwidth` unless set explicitly
   /// (rotational media typically read somewhat faster than they write).
@@ -56,15 +56,16 @@ class DiskDevice {
 
  private:
   struct Pending {
-    Bytes size;
-    std::uint64_t ops;
-    bool is_read;
+    Bytes size = 0;
+    std::uint64_t ops = 1;
+    bool is_read = false;
     WriteCallback on_done;
   };
 
   void enqueue(Bytes size, std::uint64_t ops, bool is_read,
                WriteCallback on_done);
   void start_next();
+  void finish_current();
 
   sim::Simulation& sim_;
   std::string name_;
@@ -72,7 +73,10 @@ class DiskDevice {
   Bandwidth read_bandwidth_;  ///< unlimited sentinel => derived from write
   SimDuration per_op_overhead_;
 
-  std::deque<Pending> queue_;
+  sim::RingQueue<Pending> queue_;
+  /// The op in service (valid while busy_); its completion event captures
+  /// only `this`.
+  Pending current_;
   bool busy_ = false;
   Bytes bytes_written_ = 0;
   Bytes bytes_read_ = 0;

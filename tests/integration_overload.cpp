@@ -159,6 +159,70 @@ TEST(OverloadIntegration, SameSeedRunsAreIdenticalAcrossProtocolAndFidelity) {
   }
 }
 
+// Reads under admission control: a burst of concurrent reads right after a
+// shedding campaign overflows the namenode queue, so some getBlockLocations
+// calls are shed. Each shed read gets a typed `overloaded` answer and
+// re-polls under the overload budget; every read must terminate (complete,
+// or fail cleanly once the budget is spent) and none may stay stuck.
+struct ReadBurstOutcome {
+  int completed = 0;
+  int failed_by_shedding = 0;
+  int failed_otherwise = 0;
+  std::uint64_t shed = 0;  ///< calls shed during the read burst
+};
+
+ReadBurstOutcome read_burst_after_campaign(SimDuration overload_budget) {
+  metrics::global_registry().reset();
+  cluster::ClusterSpec spec = overload_spec();
+  spec.hdfs.nn_cost_add_block = milliseconds(40);
+  spec.hdfs.nn_cost_meta = milliseconds(10);
+  spec.hdfs.nn_queue_capacity = 8;
+  spec.hdfs.overload_retry_budget = overload_budget;
+  Cluster cluster(spec);
+  const workload::OpenLoopConfig cfg = small_open_loop();
+  workload::OpenLoopWorkload wl(Protocol::kSmarth, cfg);
+  const workload::OpenLoopResult campaign = wl.run(cluster);
+  EXPECT_GE(campaign.completed, 40);
+  const std::uint64_t shed_before =
+      cluster.nn_service_queue()->counters().shed_total;
+
+  ReadBurstOutcome out;
+  for (int i = 0; i < 40; ++i) {
+    cluster.download(
+        cfg.path_prefix + std::to_string(i),
+        [&out](const hdfs::ReadStats& stats) {
+          if (!stats.failed) {
+            ++out.completed;
+          } else if (stats.failure_reason.find("still shedding") !=
+                     std::string::npos) {
+            ++out.failed_by_shedding;
+          } else {
+            ++out.failed_otherwise;
+          }
+        },
+        static_cast<std::size_t>(i) % cluster.client_count());
+  }
+  // Past the overload budget plus slack: a read still silent by then would
+  // never answer.
+  cluster.sim().run_until(cluster.sim().now() + overload_budget + seconds(60));
+  out.shed = cluster.nn_service_queue()->counters().shed_total - shed_before;
+  return out;
+}
+
+TEST(OverloadIntegration, ShedReadsRetryAndEveryReadCompletes) {
+  const ReadBurstOutcome out = read_burst_after_campaign(seconds(120));
+  EXPECT_GT(out.shed, 0u) << "the read burst was never shed";
+  EXPECT_EQ(out.completed, 40) << "reads failed or left stuck";
+}
+
+TEST(OverloadIntegration, ShedReadsFailCleanlyOnceTheBudgetIsSpent) {
+  const ReadBurstOutcome out = read_burst_after_campaign(milliseconds(100));
+  EXPECT_GT(out.shed, 0u) << "the read burst was never shed";
+  EXPECT_GT(out.failed_by_shedding, 0);
+  EXPECT_EQ(out.failed_otherwise, 0);
+  EXPECT_EQ(out.completed + out.failed_by_shedding, 40) << "reads left stuck";
+}
+
 // Changing only the workload seed changes the arrival schedule — guards
 // against the generator accidentally reading a fixed stream.
 TEST(OverloadIntegration, DifferentSeedsProduceDifferentSchedules) {

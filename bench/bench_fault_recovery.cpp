@@ -32,6 +32,7 @@
 #include "bench_common.hpp"
 #include "common/table.hpp"
 #include "faults/fault_injector.hpp"
+#include "trace/metrics_registry.hpp"
 #include "hdfs/datanode.hpp"
 #include "workload/fault_plan.hpp"
 #include "workload/upload_workload.hpp"
@@ -143,6 +144,8 @@ ScrubResult run_bitrot_scrub(cluster::Protocol protocol, Bytes scan_rate,
   cluster::ClusterSpec spec = cluster::small_cluster(42);
   spec.hdfs.ack_timeout = seconds(2);
   spec.hdfs.scanner_bytes_per_second = scan_rate;
+  // Detection and scrub volume are read from the registry: start it empty.
+  metrics::global_registry().reset();
   cluster::Cluster cluster(spec);
   cluster.enable_rereplication(seconds(2));
   const auto stats = cluster.run_upload("/f", file_size, protocol);
@@ -173,7 +176,8 @@ ScrubResult run_bitrot_scrub(cluster::Protocol protocol, Bytes scan_rate,
   const SimTime deadline = rot_at + seconds(3600);
   while (cluster.sim().now() < deadline) {
     if (result.detect_s < 0 &&
-        cluster.namenode().bad_replica_reports() >=
+        metrics::global_registry().counter_value(
+            "namenode.bad_replica_reports") >=
             static_cast<std::uint64_t>(result.rotted)) {
       result.detect_s = to_seconds(cluster.sim().now() - rot_at);
     }
@@ -185,10 +189,8 @@ ScrubResult run_bitrot_scrub(cluster::Protocol protocol, Bytes scan_rate,
     }
     cluster.sim().run_until(cluster.sim().now() + milliseconds(250));
   }
-  Bytes scrubbed = 0;
-  for (std::size_t i = 0; i < cluster.datanode_count(); ++i) {
-    scrubbed += cluster.datanode(i).scanner().bytes_scanned();
-  }
+  const std::uint64_t scrubbed =
+      metrics::global_registry().counter_value("scanner.bytes_scanned");
   result.scrub_mib = static_cast<double>(scrubbed) / kMiB;
 
   const auto read = cluster.run_download("/f");

@@ -5,6 +5,7 @@
 #include "model/cost_model.hpp"
 #include "smarth/global_optimizer.hpp"
 #include "smarth/smarth_stream.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::cluster {
 
@@ -364,9 +365,10 @@ void Cluster::complete_namenode_recovery(const hdfs::NamenodeImage& image,
   rpc_->set_host_down(namenode_->node_id(), false);
   network_->set_node_isolated(namenode_->node_id(), false);
   last_nn_downtime_ = sim_->now() - nn_crashed_at_;
-  nn_downtimes_.push_back(last_nn_downtime_);
+  metrics::global_registry()
+      .histogram("namenode.downtime_ns")
+      .observe(static_cast<double>(last_nn_downtime_));
   nn_crashed_at_ = -1;
-  if (failover) ++nn_failovers_;
   // The standby stays consistent across the outage — it tails the same log
   // the revived active journals into — so it just resumes tailing.
   if (standby_ != nullptr) standby_->start();
@@ -469,10 +471,17 @@ void Cluster::upload(const std::string& path, Bytes size, Protocol protocol,
   ClientRuntime& runtime = clients_[client_index];
   hdfs::DfsClient* dfs = runtime.dfs.get();
   core::SpeedTracker* tracker = runtime.tracker.get();
+  UploadCallback counted = [on_done = std::move(on_done)](
+                               const hdfs::StreamStats& stats) {
+    metrics::Registry& reg = metrics::global_registry();
+    reg.counter("client.uploads").add();
+    if (stats.failed) reg.counter("client.uploads_failed").add();
+    if (on_done) on_done(stats);
+  };
 
   dfs->create_file(path, [this, path, size, protocol, dfs, tracker,
                           client_index,
-                          on_done = std::move(on_done)](
+                          on_done = std::move(counted)](
                              Result<FileId> result) mutable {
     if (!result.ok()) {
       hdfs::StreamStats stats;
@@ -530,9 +539,15 @@ void Cluster::download(const std::string& path, DownloadCallback on_done,
   SMARTH_CHECK(client_index < clients_.size());
   prune_finished_endpoints();
   ClientRuntime& runtime = clients_[client_index];
+  auto counted = [on_done = std::move(on_done)](const hdfs::ReadStats& stats) {
+    metrics::Registry& reg = metrics::global_registry();
+    reg.counter("client.reads").add();
+    if (stats.failed) reg.counter("client.reads_failed").add();
+    if (on_done) on_done(stats);
+  };
   auto reader = std::make_unique<hdfs::DfsInputStream>(
       make_read_deps(), runtime.dfs->id(), runtime.node, path,
-      std::move(on_done));
+      std::move(counted));
   hdfs::DfsInputStream* raw = reader.get();
   readers_.push_back(std::move(reader));
   raw->start();

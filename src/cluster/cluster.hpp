@@ -124,12 +124,9 @@ class Cluster {
     return *checkpointer_;
   }
   /// Downtime of the most recent completed outage (-1 before the first).
+  /// Every completed outage is also observed into the registry histogram
+  /// `namenode.downtime_ns`.
   SimDuration last_namenode_downtime() const { return last_nn_downtime_; }
-  /// Every completed outage's downtime, in order.
-  const std::vector<SimDuration>& namenode_downtimes() const {
-    return nn_downtimes_;
-  }
-  std::uint64_t namenode_failovers() const { return nn_failovers_; }
 
   /// Turns on the namenode's background re-replication of under-replicated
   /// blocks (off by default; the paper's experiments do not rely on it).
@@ -138,7 +135,8 @@ class Cluster {
   // --- Uploads -----------------------------------------------------------------
   using UploadCallback = std::function<void(const hdfs::StreamStats&)>;
   /// Starts an asynchronous upload (create + stream). The callback fires when
-  /// the stream closes (successfully or not). Returns a handle for live
+  /// the stream closes (successfully or not); the outcome is counted as
+  /// `client.uploads` / `client.uploads_failed`. Returns a handle for live
   /// inspection (pipeline counts, stats so far); owned by the cluster, valid
   /// for its lifetime. May complete with nullptr stream if create() fails
   /// before a stream exists.
@@ -160,6 +158,7 @@ class Cluster {
   using DownloadCallback = std::function<void(const hdfs::ReadStats&)>;
   /// Starts an asynchronous whole-file read (nearest replica per block,
   /// failover on errors). Protocol-independent: HDFS reads have no pipeline.
+  /// The outcome is counted as `client.reads` / `client.reads_failed`.
   void download(const std::string& path, DownloadCallback on_done,
                 std::size_t client_index = 0);
   /// Convenience: read one file, run the simulation until it completes.
@@ -172,6 +171,11 @@ class Cluster {
   /// Verification helper: every block of `path` has `replication` finalized
   /// replicas of the right length across the datanodes.
   bool file_fully_replicated(const std::string& path) const;
+
+  /// Refreshes the registry gauges that have no natural event-driven update
+  /// site (namenode liveness/backlog). Called before each flight-recorder
+  /// sample, and by drivers before they snapshot the registry.
+  void update_flight_gauges();
 
  private:
   struct ClientRuntime {
@@ -194,11 +198,6 @@ class Cluster {
   void complete_namenode_recovery(const hdfs::NamenodeImage& image,
                                   const std::vector<hdfs::EditOp>& tail,
                                   bool failover);
-  /// Refreshes the registry gauges that have no natural event-driven update
-  /// site (namenode liveness/backlog), called just before each flight-
-  /// recorder sample.
-  void update_flight_gauges();
-
   ClusterSpec spec_;
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<net::Network> network_;
@@ -212,8 +211,6 @@ class Cluster {
   bool namenode_crashed_ = false;
   SimTime nn_crashed_at_ = -1;
   SimDuration last_nn_downtime_ = -1;
-  std::vector<SimDuration> nn_downtimes_;
-  std::uint64_t nn_failovers_ = 0;
   std::vector<std::unique_ptr<hdfs::Datanode>> datanodes_;
   std::vector<NodeId> datanode_ids_;
   /// Datanode by NodeId value (null for the namenode and client hosts):

@@ -43,6 +43,11 @@ double SummaryStats::variance() const {
 
 double SummaryStats::stddev() const { return std::sqrt(variance()); }
 
+double SummaryStats::population_stddev() const {
+  if (count_ == 0) return 0.0;
+  return std::sqrt(m2_ / static_cast<double>(count_));
+}
+
 std::string SummaryStats::to_string() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
@@ -62,6 +67,15 @@ void Histogram::add(double x) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
   counts_[static_cast<std::size_t>(it - bounds_.begin())]++;
   ++total_;
+}
+
+void Histogram::merge(const Histogram& other) {
+  SMARTH_CHECK_MSG(bounds_ == other.bounds_,
+                   "histogram merge needs identical bounds");
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    counts_[i] += other.counts_[i];
+  }
+  total_ += other.total_;
 }
 
 double Histogram::upper_bound(std::size_t i) const {

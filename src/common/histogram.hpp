@@ -23,6 +23,9 @@ class SummaryStats {
   double mean() const { return count_ ? mean_ : 0.0; }
   double variance() const;
   double stddev() const;
+  /// Standard deviation of the samples themselves (divides by n, not n-1):
+  /// 0 for a single sample.
+  double population_stddev() const;
   double sum() const { return sum_; }
 
   std::string to_string() const;
@@ -43,6 +46,8 @@ class Histogram {
   explicit Histogram(std::vector<double> upper_bounds);
 
   void add(double x);
+  /// Adds `other`'s bucket counts into this one; the bounds must match.
+  void merge(const Histogram& other);
   std::size_t bucket_count() const { return counts_.size(); }
   std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
   double upper_bound(std::size_t i) const;

@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "trace/metrics_registry.hpp"
 #include "trace/trace_recorder.hpp"
 
 namespace {
@@ -19,6 +20,12 @@ void trace_fault(const char* name, smarth::trace::Args args) {
 }
 
 std::string idx_str(std::size_t index) { return std::to_string(index); }
+
+/// Counts one applied injection under its per-kind `faults.*` counter; the
+/// robustness table's "faults injected" row sums the whole prefix.
+void count_fault(const char* name) {
+  smarth::metrics::global_registry().counter(name).add();
+}
 
 }  // namespace
 
@@ -38,7 +45,7 @@ void FaultInjector::crash(std::size_t datanode_index, SimTime at) {
     SMARTH_KV(LogLevel::kInfo, "faults", "crash").kv("dn", datanode_index);
     trace_fault("crash", {{"dn", idx_str(datanode_index)}});
     dn->crash();
-    ++counts_.crashes;
+    count_fault("faults.crashes");
   });
 }
 
@@ -52,7 +59,7 @@ void FaultInjector::crash_and_rejoin(std::size_t datanode_index, SimTime at,
     SMARTH_KV(LogLevel::kInfo, "faults", "rejoin").kv("dn", datanode_index);
     trace_fault("rejoin", {{"dn", idx_str(datanode_index)}});
     dn->restart();
-    ++counts_.restarts;
+    count_fault("faults.restarts");
   });
   mark_busy(datanode_index, rejoin_at);
 }
@@ -77,7 +84,7 @@ void FaultInjector::fail_slow(std::size_t datanode_index, SimTime from,
       net->set_node_nic(node, Bandwidth::bits_per_second(
                                   nic_before.bits_per_second() / nic_factor));
     }
-    ++counts_.fail_slows;
+    count_fault("faults.fail_slows");
     SMARTH_KV(LogLevel::kInfo, "faults", "fail-slow")
         .kv("dn", datanode_index)
         .kv("disk_factor", disk_factor)
@@ -110,7 +117,7 @@ void FaultInjector::flap_node(std::size_t datanode_index, SimTime down_at,
     SMARTH_KV(LogLevel::kInfo, "faults", "flap-down").kv("dn", datanode_index);
     trace_fault("flap down", {{"dn", idx_str(datanode_index)}});
     net->set_node_isolated(node, true);
-    ++counts_.flaps;
+    count_fault("faults.flaps");
   });
   cluster_.sim().schedule_at(up_at, [net, node, datanode_index] {
     SMARTH_KV(LogLevel::kInfo, "faults", "flap-up").kv("dn", datanode_index);
@@ -132,7 +139,7 @@ void FaultInjector::partition_racks(const std::string& rack_a,
         .kv("rack_b", rack_b);
     trace_fault("partition", {{"rack_a", rack_a}, {"rack_b", rack_b}});
     net->set_rack_partition(rack_a, rack_b, true);
-    ++counts_.partitions;
+    count_fault("faults.partitions");
   });
   cluster_.sim().schedule_at(heal_at, [net, rack_a, rack_b] {
     SMARTH_KV(LogLevel::kInfo, "faults", "partition-healed")
@@ -146,7 +153,7 @@ void FaultInjector::partition_racks(const std::string& rack_a,
 void FaultInjector::corrupt_nth_packet(std::size_t datanode_index,
                                        std::uint64_t nth) {
   cluster_.datanode(datanode_index).inject_checksum_error_on_nth_packet(nth);
-  ++counts_.corruptions;
+  count_fault("faults.corruptions");
 }
 
 std::uint64_t FaultInjector::one_shot_salt(std::size_t datanode_index,
@@ -165,7 +172,7 @@ void FaultInjector::bitrot(std::size_t datanode_index, SimTime at) {
     if (dn->rot_random_finalized_chunk(salt)) {
       SMARTH_KV(LogLevel::kInfo, "faults", "bitrot").kv("dn", datanode_index);
       trace_fault("bitrot", {{"dn", idx_str(datanode_index)}});
-      ++counts_.bitrot_flips;
+      count_fault("faults.bitrot_flips");
     }
   });
 }
@@ -177,7 +184,7 @@ void FaultInjector::crash_client(std::size_t client_index, SimTime at) {
         .kv("client", client_index);
     trace_fault("client crash", {{"client", idx_str(client_index)}});
     cluster_.crash_client(client_index);
-    ++counts_.client_crashes;
+    count_fault("faults.client_crashes");
   });
 }
 
@@ -191,7 +198,7 @@ void FaultInjector::crash_and_rejoin_client(std::size_t client_index,
         .kv("client", client_index);
     trace_fault("client rejoin", {{"client", idx_str(client_index)}});
     cluster_.restart_client(client_index);
-    ++counts_.client_restarts;
+    count_fault("faults.client_restarts");
   });
   mark_client_busy(client_index, rejoin_at);
 }
@@ -202,7 +209,7 @@ void FaultInjector::crash_namenode(SimTime at) {
     SMARTH_KV(LogLevel::kWarn, "faults", "nn-crash");
     trace_fault("nn crash", {});
     cluster_.crash_namenode();
-    ++counts_.nn_crashes;
+    count_fault("faults.nn_crashes");
   });
 }
 
@@ -214,7 +221,7 @@ void FaultInjector::crash_and_restart_namenode(SimTime at, SimTime restart_at) {
     SMARTH_KV(LogLevel::kInfo, "faults", "nn-restart");
     trace_fault("nn restart", {});
     cluster_.restart_namenode();
-    ++counts_.nn_restarts;
+    count_fault("faults.nn_restarts");
   });
   nn_busy_until_ = std::max(nn_busy_until_, restart_at);
 }
@@ -228,7 +235,7 @@ void FaultInjector::crash_and_failover_namenode(SimTime at,
     SMARTH_KV(LogLevel::kInfo, "faults", "nn-failover");
     trace_fault("nn failover", {});
     cluster_.failover_namenode();
-    ++counts_.nn_failovers;
+    count_fault("faults.nn_failovers");
   });
   nn_busy_until_ = std::max(nn_busy_until_, failover_at);
 }
@@ -365,7 +372,7 @@ void FaultInjector::chaos_tick() {
               bitrot_rng_.next())) {
         SMARTH_KV(LogLevel::kInfo, "faults", "chaos-bitrot").kv("dn", i);
         trace_fault("bitrot", {{"dn", idx_str(i)}});
-        ++counts_.bitrot_flips;
+        count_fault("faults.bitrot_flips");
       }
     }
   }

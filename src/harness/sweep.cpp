@@ -55,11 +55,8 @@ SweepSummary run_seed_sweep(std::uint64_t base_seed, int seeds, int jobs,
   double sum = 0, sum_sq = 0;
   int counted = 0;
   for (const SeedRun& run : sweep.runs) {
-    if (run.errored) {
-      ++sweep.errored;
-      continue;
-    }
-    sweep.merged.merge(run.summary);
+    if (run.errored) continue;
+    sweep.merged.merge(run.registry);
     sweep.total_events += run.events;
     const double s = to_seconds(run.stats.elapsed());
     if (counted == 0) {

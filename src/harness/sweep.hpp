@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "hdfs/output_stream.hpp"
-#include "metrics/report.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::harness {
 
@@ -20,10 +20,11 @@ namespace smarth::harness {
 struct SeedRun {
   std::uint64_t seed = 0;
   hdfs::StreamStats stats;
-  metrics::FaultSummary summary;
+  /// Snapshot of the seed's metrics registry at the end of its run.
+  metrics::Registry registry;
   std::uint64_t events = 0;
   /// Harness-level failure: the body threw. (A failed *upload* is a normal
-  /// outcome recorded in stats/summary, not this.)
+  /// outcome recorded in stats/registry, not this.)
   bool errored = false;
   std::string error;
   /// Flight-recorder run fragment (FlightRecorder::run_json) when the body
@@ -34,10 +35,9 @@ struct SeedRun {
 
 /// Aggregate of a whole sweep, merged in seed order.
 struct SweepSummary {
-  std::vector<SeedRun> runs;     ///< one per seed, ascending seed
-  metrics::FaultSummary merged;  ///< additive fold of every non-errored run
+  std::vector<SeedRun> runs;  ///< one per seed, ascending seed
+  metrics::Registry merged;   ///< Registry::merge of every non-errored run
   std::uint64_t total_events = 0;
-  int errored = 0;
   // Upload-seconds statistics across non-errored runs.
   double mean_seconds = 0.0;
   double min_seconds = 0.0;
@@ -51,7 +51,8 @@ struct SweepSummary {
 using SeedBody = std::function<void(std::uint64_t seed, SeedRun& out)>;
 
 /// Runs `body` for seeds base_seed .. base_seed+seeds-1 across min(jobs,
-/// seeds) worker threads (jobs < 1 means one thread per hardware core).
+/// seeds) worker threads (jobs < 1 means one thread per hardware core);
+/// with one worker the body runs on the calling thread.
 /// Exceptions from the body are captured into SeedRun::error, never
 /// propagated — one diverging seed must not abort the sweep.
 SweepSummary run_seed_sweep(std::uint64_t base_seed, int seeds, int jobs,

@@ -105,8 +105,9 @@ void BlockScanner::scan_next() {
     if (epoch != epoch_ || !running_) return;
     bytes_scanned_ += bytes;
     ++chunks_scanned_;
+    metrics::global_registry().counter("scanner.bytes_scanned").add(
+        static_cast<std::uint64_t>(bytes));
     if (!store_.chunk_ok(block, target.chunk)) {
-      ++rot_detected_;
       metrics::global_registry().counter("scanner.rot_detected").add();
       if (trace::active()) {
         trace::recorder()->instant(

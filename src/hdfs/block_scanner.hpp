@@ -38,9 +38,7 @@ class BlockScanner {
   void stop();
   bool running() const { return running_; }
 
-  Bytes bytes_scanned() const { return bytes_scanned_; }
   std::uint64_t chunks_scanned() const { return chunks_scanned_; }
-  std::uint64_t rot_detected() const { return rot_detected_; }
   std::uint64_t scan_passes() const { return scan_passes_; }
 
  private:
@@ -73,9 +71,8 @@ class BlockScanner {
   /// replica that somehow survives invalidation is re-reported.
   std::set<std::int64_t> reported_;
 
-  Bytes bytes_scanned_ = 0;
+  Bytes bytes_scanned_ = 0;  ///< reported on the pass-complete trace instant
   std::uint64_t chunks_scanned_ = 0;
-  std::uint64_t rot_detected_ = 0;
   std::uint64_t scan_passes_ = 0;
 };
 

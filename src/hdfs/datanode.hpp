@@ -153,7 +153,6 @@ class Datanode : public PacketSink {
   std::uint64_t reads_served() const { return reads_served_; }
   Bytes read_bytes_served() const { return read_bytes_served_; }
   const BlockScanner& scanner() const { return *scanner_; }
-  std::uint64_t replicas_invalidated() const { return replicas_invalidated_; }
   std::uint64_t read_verify_failures() const { return read_verify_failures_; }
 
  private:
@@ -249,7 +248,6 @@ class Datanode : public PacketSink {
   std::uint64_t fnfa_sent_ = 0;
   std::uint64_t reads_served_ = 0;
   Bytes read_bytes_served_ = 0;
-  std::uint64_t replicas_invalidated_ = 0;
   std::uint64_t read_verify_failures_ = 0;
   /// Reads a hedged client told us we lost; the serving chain stops at the
   /// next packet boundary and drops the entry.

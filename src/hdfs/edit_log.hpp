@@ -65,15 +65,14 @@ struct EditOp {
 /// the last checkpoint.
 class EditLog {
  public:
-  /// Appends `op`, assigning the next txid; returns that txid.
+  /// Appends `op`, assigning the next txid (counted as `namenode.edit_ops`);
+  /// returns that txid.
   std::int64_t append(EditOp op);
 
   /// Highest txid ever assigned (0 when nothing was logged).
   std::int64_t last_txid() const { return next_txid_ - 1; }
   /// Ops retained in memory (post-truncation suffix).
   std::size_t size() const { return ops_.size(); }
-  /// Total ops ever appended (monotone; survives truncation).
-  std::uint64_t appended() const { return appended_; }
 
   /// All retained ops with txid > `after_txid`, in txid order. CHECK-fails if
   /// truncation already dropped ops in that range — callers must keep their
@@ -90,7 +89,6 @@ class EditLog {
  private:
   std::deque<EditOp> ops_;
   std::int64_t next_txid_ = 1;
-  std::uint64_t appended_ = 0;
 };
 
 }  // namespace smarth::hdfs

@@ -128,12 +128,11 @@ void FsImageCheckpointer::checkpoint_now() {
   if (namenode_.crashed()) return;
   image_ = namenode_.capture_image();
   image_.last_txid = log_.last_txid();
-  ++checkpoints_;
   std::int64_t floor = image_.last_txid;
   if (truncate_floor_) floor = std::min(floor, truncate_floor_());
   log_.truncate_through(floor);
   metrics::global_registry().counter("namenode.checkpoints").add();
-  SMARTH_DEBUG("fsimage") << "checkpoint #" << checkpoints_ << " at txid "
+  SMARTH_DEBUG("fsimage") << "checkpoint at txid "
                           << image_.last_txid << " (log retains "
                           << log_.size() << " ops past txid " << floor << ")";
 }

@@ -101,7 +101,6 @@ class FsImageCheckpointer {
   /// Most recent checkpoint; a default image (txid 0 => replay everything)
   /// before the first one.
   const NamenodeImage& latest() const { return image_; }
-  std::uint64_t checkpoints() const { return checkpoints_; }
 
   /// Registers an extra truncation floor (e.g. the standby's applied txid).
   void set_truncate_floor(std::function<std::int64_t()> floor) {
@@ -114,7 +113,6 @@ class FsImageCheckpointer {
   EditLog& log_;
   SimDuration interval_;
   NamenodeImage image_;
-  std::uint64_t checkpoints_ = 0;
   std::function<std::int64_t()> truncate_floor_;
   std::unique_ptr<sim::PeriodicTask> task_;
 };

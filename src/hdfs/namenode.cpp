@@ -76,7 +76,7 @@ void Namenode::register_datanode(NodeId dn) {
   // clock restarts so the node counts as alive again immediately.
   if (std::find(datanodes_.begin(), datanodes_.end(), dn) !=
       datanodes_.end()) {
-    ++reregistrations_;
+    metrics::global_registry().counter("namenode.reregistrations").add();
     // A re-registration announces a fresh process: whatever replica state its
     // previous incarnation reported is stale until the block report that
     // follows the registration re-asserts it. Dropping it here (instead of
@@ -462,7 +462,6 @@ void Namenode::block_received(NodeId dn, BlockId block, Bytes length) {
 }
 
 void Namenode::report_bad_replica(BlockId block, NodeId node) {
-  ++bad_replica_reports_;
   metrics::global_registry().counter("namenode.bad_replica_reports").add();
   trace_nn(trace::Category::kScanner, "report bad replica",
            {{"block", block.to_string()}, {"node", node.to_string()}});
@@ -761,6 +760,8 @@ void Namenode::commit_block_synchronization(BlockId block, Bytes length,
   rt->second.pending.erase(pt);
   ++uc_blocks_recovered_;
   bytes_salvaged_ += length;
+  metrics::global_registry().counter("namenode.bytes_salvaged").add(
+      static_cast<std::uint64_t>(length));
   {
     EditOp op;
     op.type = EditOpType::kCommitBlockSync;
@@ -805,6 +806,9 @@ void Namenode::truncate_file_blocks(FileId file, std::size_t first_removed) {
     rereplication_pending_.erase(block);
     if (rt != lease_recoveries_.end()) rt->second.pending.erase(block);
     ++orphans_abandoned_;
+    if (!replaying_) {
+      metrics::global_registry().counter("namenode.orphans_abandoned").add();
+    }
   }
   entry.blocks.resize(first_removed);
 }
@@ -1185,7 +1189,6 @@ std::size_t Namenode::restart(const NamenodeImage& image,
   // where lease age effectively resets with the namenode).
   leases_.reset_renewals(sim_.now());
 
-  ++restarts_;
   metrics::global_registry().counter("namenode.restarts").add();
   trace_nn(trace::Category::kFault, "namenode restart",
            {{"image_txid", std::to_string(image.last_txid)},
@@ -1207,8 +1210,8 @@ std::size_t Namenode::restart(const NamenodeImage& image,
               << " replica coverage; exiting with what we have";
           safe_mode_ = false;
           safe_mode_auto_ = false;
-          ++safe_mode_exits_;
           last_safe_mode_exit_ = sim_.now();
+          metrics::global_registry().counter("namenode.safe_mode_exits").add();
           trace_nn(trace::Category::kFault, "safe mode timeout-exit", {});
         });
   }
@@ -1222,7 +1225,6 @@ std::size_t Namenode::restart(const NamenodeImage& image,
 void Namenode::enter_safe_mode() {
   safe_mode_ = true;
   safe_mode_auto_ = true;
-  ++safe_mode_entries_;
   metrics::global_registry().counter("namenode.safe_mode_entries").add();
   trace_nn(trace::Category::kFault, "safe mode enter", {});
 }
@@ -1254,7 +1256,6 @@ void Namenode::maybe_exit_safe_mode() {
   if (fraction + 1e-9 < config_.safe_mode_threshold) return;
   safe_mode_ = false;
   safe_mode_auto_ = false;
-  ++safe_mode_exits_;
   last_safe_mode_exit_ = sim_.now();
   safe_mode_timeout_.cancel();
   metrics::global_registry().counter("namenode.safe_mode_exits").add();

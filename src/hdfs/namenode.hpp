@@ -124,13 +124,10 @@ class Namenode {
   /// number of tail ops replayed.
   std::size_t restart(const NamenodeImage& image,
                       const std::vector<EditOp>& tail);
-  std::uint64_t restarts() const { return restarts_; }
 
   /// Fraction of closed-file blocks with >=1 reported non-corrupt replica
   /// (the safe-mode exit criterion; 1.0 for an empty namespace).
   double safe_blocks_fraction() const;
-  std::uint64_t safe_mode_entries() const { return safe_mode_entries_; }
-  std::uint64_t safe_mode_exits() const { return safe_mode_exits_; }
   /// Time of the most recent automatic safe-mode exit (-1 if never).
   SimTime last_safe_mode_exit() const { return last_safe_mode_exit_; }
 
@@ -143,8 +140,6 @@ class Namenode {
   bool is_alive(NodeId dn) const;
   std::vector<NodeId> alive_datanodes() const;
   std::size_t registered_datanode_count() const { return datanodes_.size(); }
-  /// Registrations from already-known datanodes (crash-and-rejoin).
-  std::uint64_t reregistrations() const { return reregistrations_; }
 
   // --- ClientProtocol --------------------------------------------------------
   /// Step 1 of the write workflow: namespace checks, then create the entry.
@@ -230,7 +225,6 @@ class Namenode {
   /// verified-good copy.
   void report_bad_replica(BlockId block, NodeId node);
 
-  std::uint64_t bad_replica_reports() const { return bad_replica_reports_; }
   std::uint64_t invalidations_issued() const { return invalidations_issued_; }
   /// Total (block, node) pairs currently quarantined.
   std::size_t corrupt_replica_count() const;
@@ -348,8 +342,6 @@ class Namenode {
   /// Datanodes registered before the last crash; safe mode holds until that
   /// many have re-registered (in addition to the replica threshold).
   std::size_t safe_mode_min_datanodes_ = 0;
-  std::uint64_t safe_mode_entries_ = 0;
-  std::uint64_t safe_mode_exits_ = 0;
   SimTime last_safe_mode_exit_ = -1;
 
   EditLog* edit_log_ = nullptr;
@@ -357,7 +349,6 @@ class Namenode {
   /// the shared mutation helpers (truncate/close/erase).
   bool replaying_ = false;
   bool crashed_ = false;
-  std::uint64_t restarts_ = 0;
   /// Force-exits a safe mode that replica re-reports alone can never satisfy
   /// (e.g. a block whose every replica is gone for good).
   sim::EventHandle safe_mode_timeout_;
@@ -373,7 +364,6 @@ class Namenode {
 
   SpeedBoard speeds_;
   std::uint64_t heartbeats_ = 0;
-  std::uint64_t reregistrations_ = 0;
 
   LeaseManager leases_;
   /// Reserved holder expired writers' files are reassigned to while the
@@ -389,7 +379,6 @@ class Namenode {
   std::uint64_t client_heartbeats_ = 0;
 
   InvalidationExecutor invalidation_executor_;
-  std::uint64_t bad_replica_reports_ = 0;
   std::uint64_t invalidations_issued_ = 0;
 
   /// Decaying slowness scores; volatile like liveness (dropped on restart —

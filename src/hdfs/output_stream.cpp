@@ -757,6 +757,7 @@ void DfsOutputStream::on_pipeline_error(ClientPipeline& pipeline,
   }
   recovering_ = true;
   ++stats_.recoveries;
+  metrics::global_registry().counter("stream.recoveries").add();
   trace_pipeline_closed(pipeline, "error");
   note_recovery_start(pipeline.id);
   pipeline.failed = true;
@@ -789,6 +790,9 @@ void DfsOutputStream::on_pipeline_error(ClientPipeline& pipeline,
         stats_.quarantine_events += result.value().quarantined;
         if (result.value().under_replicated) {
           ++stats_.under_replication_events;
+          metrics::global_registry()
+              .counter("stream.under_replication_events")
+              .add();
         }
         resume_after_recovery(*old_pipeline, result.value().targets,
                               result.value().sync_offset);

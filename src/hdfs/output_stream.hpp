@@ -84,10 +84,6 @@ struct StreamStats {
 
   SimDuration elapsed() const { return finished_at - started_at; }
   Bandwidth throughput() const { return throughput_of(file_size, elapsed()); }
-  /// Mean time to recover a failed pipeline, in seconds (0 if none failed).
-  double recovery_mttr_seconds() const {
-    return recoveries > 0 ? to_seconds(recovery_time_total) / recoveries : 0.0;
-  }
 };
 
 /// One replication pipeline as seen from the client.

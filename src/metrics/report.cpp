@@ -1,6 +1,6 @@
 #include "metrics/report.hpp"
 
-#include <algorithm>
+#include <cstdint>
 
 namespace smarth::metrics {
 
@@ -41,198 +41,133 @@ std::string comparison_csv(const std::string& x_label,
   return table.to_csv();
 }
 
-void FaultSummary::fold(const hdfs::StreamStats& stats) {
-  ++uploads;
-  if (stats.failed) ++failed_uploads;
-  recoveries += stats.recoveries;
-  quarantine_events += stats.quarantine_events;
-  under_replication_events += stats.under_replication_events;
-  rpc_retries += stats.rpc_retries;
-  rpc_give_ups += stats.rpc_give_ups;
-  recovery_time_total += stats.recovery_time_total;
-  slow_evictions += stats.slow_evictions;
+namespace {
+
+/// How a robustness row reads its metric.
+enum class Source {
+  kCounter,        ///< counter value
+  kGauge,          ///< gauge value, as an integer
+  kCounterPrefix,  ///< sum of every counter whose name starts with `metric`
+  kSecondsPer,     ///< histogram sum (ns) in seconds, per `per` counter
+  kDowntime,       ///< mean, min/max and stddev rows, only when observed
+};
+
+struct RobustnessRow {
+  const char* label;
+  const char* metric;
+  Source source = Source::kCounter;
+  const char* per = nullptr;
+};
+
+constexpr RobustnessRow kRobustnessRows[] = {
+    {"uploads", "client.uploads"},
+    {"failed uploads", "client.uploads_failed"},
+    {"recoveries", "stream.recoveries"},
+    {"recovery MTTR (s)", "stream.recovery_ns", Source::kSecondsPer,
+     "stream.recoveries"},
+    {"quarantine events", "quarantine.events"},
+    {"under-replication events", "stream.under_replication_events"},
+    {"rpc retries", "rpc.retries"},
+    {"rpc give-ups", "rpc.give_ups"},
+    {"rpc calls dropped", "rpc.calls_dropped"},
+    {"rpc messages lost", "rpc.messages_lost"},
+    {"rpc messages delayed", "rpc.messages_delayed"},
+    {"datanode re-registrations", "namenode.reregistrations"},
+    {"under-replicated blocks", "nn.under_replicated", Source::kGauge},
+    {"faults injected", "faults.", Source::kCounterPrefix},
+    {"lease expiries", "namenode.lease_recoveries"},
+    {"UC blocks recovered", "namenode.uc_blocks_recovered"},
+    {"bytes salvaged", "namenode.bytes_salvaged"},
+    {"orphans abandoned", "namenode.orphans_abandoned"},
+    {"nn crashes", "faults.nn_crashes"},
+    {"nn restarts", "faults.nn_restarts"},
+    {"nn failovers", "faults.nn_failovers"},
+    {"safe-mode entries", "namenode.safe_mode_entries"},
+    {"safe-mode exits", "namenode.safe_mode_exits"},
+    {"edit ops logged", "namenode.edit_ops"},
+    {"checkpoints", "namenode.checkpoints"},
+    {"nn downtime", "namenode.downtime_ns", Source::kDowntime},
+    {"reads", "client.reads"},
+    {"failed reads", "client.reads_failed"},
+    {"read failovers", "read.failovers"},
+    {"checksum mismatches", "read.checksum_mismatches"},
+    {"bad replica reports", "namenode.bad_replica_reports"},
+    {"hedged reads", "read.hedges"},
+    {"hedge wins", "read.hedge_wins"},
+    {"hedges denied", "read.hedges_denied"},
+    {"hedge wasted bytes", "read.hedge_wasted_bytes"},
+    {"slow evictions", "write.slow_evictions"},
+    {"slow-node reports", "namenode.slow_node_reports"},
+    {"hedge-cancelled serves", "hedge.cancelled"},
+    {"bitrot flips", "faults.bitrot_flips"},
+    {"replicas invalidated", "datanode.replicas_invalidated"},
+    {"scrub rot detected", "scanner.rot_detected"},
+    {"scrub bytes scanned", "scanner.bytes_scanned"},
+    {"nn ops admitted", "nn.rpc.admitted"},
+    {"nn ops shed", "nn.rpc.shed"},
+    {"nn shed heartbeats", "nn.rpc.shed_heartbeats"},
+    {"nn shed addBlocks", "nn.rpc.shed_add_blocks"},
+    {"nn addBlock cap rejections", "nn.rpc.addblock_cap_rejections"},
+    {"nn heartbeat batches", "nn.rpc.heartbeat_batches"},
+    {"nn heartbeats batched", "nn.rpc.heartbeats_batched"},
+    {"overload retries", "rpc.overload_retries"},
+};
+
+/// A nanosecond metric value as a seconds cell.
+std::string seconds(double ns) {
+  return TextTable::num(ns / static_cast<double>(kSecond));
 }
 
-void FaultSummary::fold_registry(const Registry& registry) {
-  const auto counter = [&registry](const char* name) -> std::uint64_t {
-    const Counter* c = registry.find_counter(name);
-    return c != nullptr ? c->value() : 0;
-  };
-  rpc_retries = std::max(rpc_retries, counter("rpc.retries"));
-  rpc_give_ups = std::max(rpc_give_ups, counter("rpc.give_ups"));
-  quarantine_events = std::max(
-      quarantine_events, static_cast<int>(counter("quarantine.events")));
-  slow_node_reports =
-      std::max(slow_node_reports, counter("namenode.slow_node_reports"));
-  hedge_cancelled_serves =
-      std::max(hedge_cancelled_serves, counter("hedge.cancelled"));
-  overload_retries = std::max(overload_retries, counter("rpc.overload_retries"));
-  nn_ops_admitted = std::max(nn_ops_admitted, counter("nn.rpc.admitted"));
-  nn_ops_shed = std::max(nn_ops_shed, counter("nn.rpc.shed"));
-  nn_shed_heartbeats =
-      std::max(nn_shed_heartbeats, counter("nn.rpc.shed_heartbeats"));
-  nn_shed_add_blocks =
-      std::max(nn_shed_add_blocks, counter("nn.rpc.shed_add_blocks"));
-  nn_addblock_cap_rejections = std::max(
-      nn_addblock_cap_rejections, counter("nn.rpc.addblock_cap_rejections"));
-  nn_heartbeat_batches =
-      std::max(nn_heartbeat_batches, counter("nn.rpc.heartbeat_batches"));
-  nn_heartbeats_batched =
-      std::max(nn_heartbeats_batched, counter("nn.rpc.heartbeats_batched"));
-}
+}  // namespace
 
-void FaultSummary::fold_read(const hdfs::ReadStats& stats) {
-  ++reads;
-  if (stats.failed) ++failed_reads;
-  read_failovers += stats.failovers;
-  checksum_mismatches += stats.checksum_mismatches;
-  bad_replica_reports += stats.bad_replica_reports;
-  hedged_reads += stats.hedged_reads;
-  hedge_wins += stats.hedge_wins;
-  hedges_denied += stats.hedges_denied;
-  hedge_wasted_bytes += stats.hedge_wasted_bytes;
-}
-
-void FaultSummary::merge(const FaultSummary& other) {
-  uploads += other.uploads;
-  failed_uploads += other.failed_uploads;
-  recoveries += other.recoveries;
-  quarantine_events += other.quarantine_events;
-  under_replication_events += other.under_replication_events;
-  rpc_retries += other.rpc_retries;
-  rpc_give_ups += other.rpc_give_ups;
-  recovery_time_total += other.recovery_time_total;
-  rpc_calls_dropped += other.rpc_calls_dropped;
-  rpc_messages_lost += other.rpc_messages_lost;
-  rpc_messages_delayed += other.rpc_messages_delayed;
-  datanode_reregistrations += other.datanode_reregistrations;
-  under_replicated_blocks += other.under_replicated_blocks;
-  faults_injected += other.faults_injected;
-  lease_expiries += other.lease_expiries;
-  uc_blocks_recovered += other.uc_blocks_recovered;
-  bytes_salvaged += other.bytes_salvaged;
-  orphans_abandoned += other.orphans_abandoned;
-  nn_crashes += other.nn_crashes;
-  nn_restarts += other.nn_restarts;
-  nn_failovers += other.nn_failovers;
-  safe_mode_entries += other.safe_mode_entries;
-  safe_mode_exits += other.safe_mode_exits;
-  edit_ops_logged += other.edit_ops_logged;
-  checkpoints += other.checkpoints;
-  nn_downtime.merge(other.nn_downtime);
-  reads += other.reads;
-  failed_reads += other.failed_reads;
-  read_failovers += other.read_failovers;
-  checksum_mismatches += other.checksum_mismatches;
-  bad_replica_reports += other.bad_replica_reports;
-  hedged_reads += other.hedged_reads;
-  hedge_wins += other.hedge_wins;
-  hedges_denied += other.hedges_denied;
-  hedge_wasted_bytes += other.hedge_wasted_bytes;
-  slow_evictions += other.slow_evictions;
-  slow_node_reports += other.slow_node_reports;
-  hedge_cancelled_serves += other.hedge_cancelled_serves;
-  bitrot_flips += other.bitrot_flips;
-  replicas_invalidated += other.replicas_invalidated;
-  scrub_rot_detected += other.scrub_rot_detected;
-  scrub_bytes_scanned += other.scrub_bytes_scanned;
-  nn_ops_admitted += other.nn_ops_admitted;
-  nn_ops_shed += other.nn_ops_shed;
-  nn_shed_heartbeats += other.nn_shed_heartbeats;
-  nn_shed_add_blocks += other.nn_shed_add_blocks;
-  nn_addblock_cap_rejections += other.nn_addblock_cap_rejections;
-  nn_heartbeat_batches += other.nn_heartbeat_batches;
-  nn_heartbeats_batched += other.nn_heartbeats_batched;
-  overload_retries += other.overload_retries;
-}
-
-std::string render_fault_summary(const FaultSummary& summary) {
+std::string render_robustness(const Registry& registry) {
   TextTable table({"metric", "value"});
-  table.add_row({"uploads", std::to_string(summary.uploads)});
-  table.add_row({"failed uploads", std::to_string(summary.failed_uploads)});
-  table.add_row({"recoveries", std::to_string(summary.recoveries)});
-  table.add_row(
-      {"recovery MTTR (s)", TextTable::num(summary.recovery_mttr_seconds())});
-  table.add_row(
-      {"quarantine events", std::to_string(summary.quarantine_events)});
-  table.add_row({"under-replication events",
-                 std::to_string(summary.under_replication_events)});
-  table.add_row({"rpc retries", std::to_string(summary.rpc_retries)});
-  table.add_row({"rpc give-ups", std::to_string(summary.rpc_give_ups)});
-  table.add_row(
-      {"rpc calls dropped", std::to_string(summary.rpc_calls_dropped)});
-  table.add_row(
-      {"rpc messages lost", std::to_string(summary.rpc_messages_lost)});
-  table.add_row(
-      {"rpc messages delayed", std::to_string(summary.rpc_messages_delayed)});
-  table.add_row({"datanode re-registrations",
-                 std::to_string(summary.datanode_reregistrations)});
-  table.add_row({"under-replicated blocks",
-                 std::to_string(summary.under_replicated_blocks)});
-  table.add_row(
-      {"faults injected", std::to_string(summary.faults_injected)});
-  table.add_row({"lease expiries", std::to_string(summary.lease_expiries)});
-  table.add_row({"UC blocks recovered",
-                 std::to_string(summary.uc_blocks_recovered)});
-  table.add_row({"bytes salvaged", std::to_string(summary.bytes_salvaged)});
-  table.add_row(
-      {"orphans abandoned", std::to_string(summary.orphans_abandoned)});
-  table.add_row({"nn crashes", std::to_string(summary.nn_crashes)});
-  table.add_row({"nn restarts", std::to_string(summary.nn_restarts)});
-  table.add_row({"nn failovers", std::to_string(summary.nn_failovers)});
-  table.add_row(
-      {"safe-mode entries", std::to_string(summary.safe_mode_entries)});
-  table.add_row({"safe-mode exits", std::to_string(summary.safe_mode_exits)});
-  table.add_row({"edit ops logged", std::to_string(summary.edit_ops_logged)});
-  table.add_row({"checkpoints", std::to_string(summary.checkpoints)});
-  if (summary.nn_downtime.count > 0) {
-    table.add_row({"nn downtime mean (s)",
-                   TextTable::num(summary.nn_downtime.mean_s())});
-    table.add_row({"nn downtime min/max (s)",
-                   TextTable::num(summary.nn_downtime.min_s) + " / " +
-                       TextTable::num(summary.nn_downtime.max_s)});
-    table.add_row({"nn downtime stddev (s)",
-                   TextTable::num(summary.nn_downtime.stddev_s())});
+  for (const RobustnessRow& row : kRobustnessRows) {
+    switch (row.source) {
+      case Source::kCounter:
+        table.add_row(
+            {row.label, std::to_string(registry.counter_value(row.metric))});
+        break;
+      case Source::kGauge: {
+        const Gauge* g = registry.find_gauge(row.metric);
+        table.add_row({row.label, std::to_string(static_cast<std::int64_t>(
+                                      g != nullptr ? g->value() : 0.0))});
+        break;
+      }
+      case Source::kCounterPrefix: {
+        const std::string prefix = row.metric;
+        std::uint64_t total = 0;
+        for (auto it = registry.counters().lower_bound(prefix);
+             it != registry.counters().end() &&
+             it->first.compare(0, prefix.size(), prefix) == 0;
+             ++it) {
+          total += it->second.value();
+        }
+        table.add_row({row.label, std::to_string(total)});
+        break;
+      }
+      case Source::kSecondsPer: {
+        const LatencyHistogram* h = registry.find_histogram(row.metric);
+        const std::uint64_t per = registry.counter_value(row.per);
+        const double total_ns = h != nullptr ? h->stats().sum() : 0.0;
+        table.add_row({row.label,
+                       seconds(per > 0 ? total_ns / static_cast<double>(per)
+                                       : 0.0)});
+        break;
+      }
+      case Source::kDowntime: {
+        const LatencyHistogram* h = registry.find_histogram(row.metric);
+        if (h == nullptr || h->count() == 0) break;
+        const SummaryStats& s = h->stats();
+        const std::string label = row.label;
+        table.add_row({label + " mean (s)", seconds(s.mean())});
+        table.add_row({label + " min/max (s)",
+                       seconds(s.min()) + " / " + seconds(s.max())});
+        table.add_row({label + " stddev (s)", seconds(s.population_stddev())});
+        break;
+      }
+    }
   }
-  table.add_row({"reads", std::to_string(summary.reads)});
-  table.add_row({"failed reads", std::to_string(summary.failed_reads)});
-  table.add_row({"read failovers", std::to_string(summary.read_failovers)});
-  table.add_row(
-      {"checksum mismatches", std::to_string(summary.checksum_mismatches)});
-  table.add_row(
-      {"bad replica reports", std::to_string(summary.bad_replica_reports)});
-  table.add_row({"hedged reads", std::to_string(summary.hedged_reads)});
-  table.add_row({"hedge wins", std::to_string(summary.hedge_wins)});
-  table.add_row({"hedges denied", std::to_string(summary.hedges_denied)});
-  table.add_row(
-      {"hedge wasted bytes", std::to_string(summary.hedge_wasted_bytes)});
-  table.add_row({"slow evictions", std::to_string(summary.slow_evictions)});
-  table.add_row(
-      {"slow-node reports", std::to_string(summary.slow_node_reports)});
-  table.add_row({"hedge-cancelled serves",
-                 std::to_string(summary.hedge_cancelled_serves)});
-  table.add_row({"bitrot flips", std::to_string(summary.bitrot_flips)});
-  table.add_row(
-      {"replicas invalidated", std::to_string(summary.replicas_invalidated)});
-  table.add_row(
-      {"scrub rot detected", std::to_string(summary.scrub_rot_detected)});
-  table.add_row(
-      {"scrub bytes scanned", std::to_string(summary.scrub_bytes_scanned)});
-  table.add_row(
-      {"nn ops admitted", std::to_string(summary.nn_ops_admitted)});
-  table.add_row({"nn ops shed", std::to_string(summary.nn_ops_shed)});
-  table.add_row(
-      {"nn shed heartbeats", std::to_string(summary.nn_shed_heartbeats)});
-  table.add_row(
-      {"nn shed addBlocks", std::to_string(summary.nn_shed_add_blocks)});
-  table.add_row({"nn addBlock cap rejections",
-                 std::to_string(summary.nn_addblock_cap_rejections)});
-  table.add_row({"nn heartbeat batches",
-                 std::to_string(summary.nn_heartbeat_batches)});
-  table.add_row({"nn heartbeats batched",
-                 std::to_string(summary.nn_heartbeats_batched)});
-  table.add_row(
-      {"overload retries", std::to_string(summary.overload_retries)});
   return table.to_string();
 }
 

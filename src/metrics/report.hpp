@@ -3,15 +3,11 @@
 // plot (upload seconds per configuration, plus improvement percentages).
 #pragma once
 
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "hdfs/input_stream.hpp"
 #include "hdfs/output_stream.hpp"
 #include "trace/metrics_registry.hpp"
 
@@ -51,146 +47,12 @@ std::string render_observations(const std::vector<UploadObservation>& rows);
 std::string comparison_csv(const std::string& x_label,
                            const std::vector<ComparisonRow>& rows);
 
-/// Sample statistics over a set of durations (namenode outage downtimes).
-/// Carries count/total/min/max/sum-of-squares so the cross-seed merge is
-/// purely additive and stays well-defined down to a single sample — a
-/// one-seed sweep reports min == max == mean and stddev 0, never NaN —
-/// and merging with an empty side is the identity.
-struct DurationStats {
-  std::uint64_t count = 0;
-  double total_s = 0.0;
-  double min_s = 0.0;
-  double max_s = 0.0;
-  double sumsq_s = 0.0;
-
-  void add(double seconds) {
-    if (count == 0) {
-      min_s = max_s = seconds;
-    } else {
-      min_s = std::min(min_s, seconds);
-      max_s = std::max(max_s, seconds);
-    }
-    ++count;
-    total_s += seconds;
-    sumsq_s += seconds * seconds;
-  }
-
-  void merge(const DurationStats& other) {
-    if (other.count == 0) return;
-    if (count == 0) {
-      *this = other;
-      return;
-    }
-    min_s = std::min(min_s, other.min_s);
-    max_s = std::max(max_s, other.max_s);
-    count += other.count;
-    total_s += other.total_s;
-    sumsq_s += other.sumsq_s;
-  }
-
-  double mean_s() const {
-    return count > 0 ? total_s / static_cast<double>(count) : 0.0;
-  }
-  double stddev_s() const {
-    if (count == 0) return 0.0;
-    const double mean = mean_s();
-    const double var =
-        sumsq_s / static_cast<double>(count) - mean * mean;
-    return std::sqrt(std::max(0.0, var));
-  }
-};
-
-/// Robustness aggregate for a fault/chaos run: per-stream recovery and
-/// retry accounting folded together, plus cluster-level counters the caller
-/// supplies (metrics stays independent of the cluster/faults layers).
-struct FaultSummary {
-  // Folded from StreamStats.
-  int uploads = 0;
-  int failed_uploads = 0;
-  int recoveries = 0;
-  int quarantine_events = 0;
-  int under_replication_events = 0;
-  std::uint64_t rpc_retries = 0;
-  std::uint64_t rpc_give_ups = 0;
-  SimDuration recovery_time_total = 0;
-
-  // Cluster-level counters (filled by the harness).
-  std::uint64_t rpc_calls_dropped = 0;
-  std::uint64_t rpc_messages_lost = 0;
-  std::uint64_t rpc_messages_delayed = 0;
-  std::uint64_t datanode_reregistrations = 0;
-  std::size_t under_replicated_blocks = 0;
-  std::uint64_t faults_injected = 0;
-
-  // Writer-crash / lease recovery counters (from the namenode).
-  std::uint64_t lease_expiries = 0;
-  std::uint64_t uc_blocks_recovered = 0;
-  Bytes bytes_salvaged = 0;
-  std::uint64_t orphans_abandoned = 0;
-
-  // Control-plane loss (namenode crash / restart / failover) counters.
-  std::uint64_t nn_crashes = 0;
-  std::uint64_t nn_restarts = 0;
-  std::uint64_t nn_failovers = 0;
-  std::uint64_t safe_mode_entries = 0;
-  std::uint64_t safe_mode_exits = 0;
-  std::uint64_t edit_ops_logged = 0;
-  std::uint64_t checkpoints = 0;
-  DurationStats nn_downtime;  ///< per-outage downtime distribution
-
-  // Read-path resilience (folded from ReadStats).
-  int reads = 0;
-  int failed_reads = 0;
-  int read_failovers = 0;
-  int checksum_mismatches = 0;
-  int bad_replica_reports = 0;
-
-  // Gray-failure defense (hedged reads + slow-node eviction + suspicion).
-  int hedged_reads = 0;
-  int hedge_wins = 0;
-  int hedges_denied = 0;
-  Bytes hedge_wasted_bytes = 0;
-  int slow_evictions = 0;
-  std::uint64_t slow_node_reports = 0;
-  std::uint64_t hedge_cancelled_serves = 0;
-
-  // Data-integrity counters (from the namenode / datanodes).
-  std::uint64_t bitrot_flips = 0;
-  std::uint64_t replicas_invalidated = 0;
-  std::uint64_t scrub_rot_detected = 0;
-  Bytes scrub_bytes_scanned = 0;
-
-  // Control-plane overload (namenode service queue + admission control).
-  std::uint64_t nn_ops_admitted = 0;
-  std::uint64_t nn_ops_shed = 0;
-  std::uint64_t nn_shed_heartbeats = 0;
-  std::uint64_t nn_shed_add_blocks = 0;
-  std::uint64_t nn_addblock_cap_rejections = 0;
-  std::uint64_t nn_heartbeat_batches = 0;
-  std::uint64_t nn_heartbeats_batched = 0;
-  std::uint64_t overload_retries = 0;  ///< client backoffs on typed sheds
-
-  /// Accumulates one upload's robustness counters.
-  void fold(const hdfs::StreamStats& stats);
-  /// Accumulates one read's resilience counters.
-  void fold_read(const hdfs::ReadStats& stats);
-  /// Overlays registry-sourced counters (rpc.retries, rpc.give_ups,
-  /// quarantine.events) onto the folded per-stream ones. The registry sees
-  /// call sites that never report into StreamStats (e.g. recovery-internal
-  /// RPCs), so the overlay takes the max — the table can only get more
-  /// complete, never lose a count.
-  void fold_registry(const Registry& registry);
-  /// Accumulates another summary wholesale (multi-seed sweep aggregation:
-  /// every counter is additive across independent runs).
-  void merge(const FaultSummary& other);
-  /// Mean time to recover across every folded recovery, in seconds.
-  double recovery_mttr_seconds() const {
-    return recoveries > 0 ? to_seconds(recovery_time_total) / recoveries
-                          : 0.0;
-  }
-};
-
-/// Renders the fault summary as a two-column table.
-std::string render_fault_summary(const FaultSummary& summary);
+/// Renders the robustness table of a fault/chaos run from its metrics
+/// registry: one row per entry of a fixed (label, metric) list, in a fixed
+/// order. A metric the run never touched renders as 0; the namenode
+/// downtime rows appear only when an outage completed. Every row is a plain
+/// registry read, so a seed sweep's merged registry renders the same way
+/// one run's does.
+std::string render_robustness(const Registry& registry);
 
 }  // namespace smarth::metrics

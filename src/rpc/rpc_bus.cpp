@@ -2,6 +2,7 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::rpc {
 
@@ -33,10 +34,9 @@ ServiceQueue* RpcBus::service_queue(NodeId server) const {
 }
 
 void RpcBus::record_dropped_call(NodeId client, NodeId server) {
-  ++calls_dropped_;
+  metrics::global_registry().counter("rpc.calls_dropped").add();
   SMARTH_DEBUG("rpc") << "dropped call " << client.value() << " -> "
-                      << server.value() << " (endpoint down); total dropped "
-                      << calls_dropped_;
+                      << server.value() << " (endpoint down)";
 }
 
 void RpcBus::send_control(NodeId from, NodeId to, Bytes size,
@@ -46,7 +46,7 @@ void RpcBus::send_control(NodeId from, NodeId to, Bytes size,
     Rng& rng = network_.simulation().rng();
     if (chaos_.loss_probability > 0.0 &&
         rng.uniform() < chaos_.loss_probability) {
-      ++messages_lost_;
+      metrics::global_registry().counter("rpc.messages_lost").add();
       SMARTH_DEBUG("rpc") << "chaos lost control message " << from.value()
                           << " -> " << to.value();
       return;
@@ -55,7 +55,9 @@ void RpcBus::send_control(NodeId from, NodeId to, Bytes size,
     if (chaos_.delay_jitter > 0) {
       extra += rng.uniform_int(0, chaos_.delay_jitter - 1);
     }
-    if (extra > 0) ++messages_delayed_;
+    if (extra > 0) {
+      metrics::global_registry().counter("rpc.messages_delayed").add();
+    }
   }
   auto transmit = [this, from, to, size,
                    on_delivered = std::move(on_delivered)]() mutable {

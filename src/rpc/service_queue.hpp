@@ -17,8 +17,8 @@
 //    bounded total depth, shedding + displacement, batching, tenant caps.
 //
 // Everything is deterministic: no RNG, service order depends only on arrival
-// order and class. Counters land in the metrics registry and are exposed as a
-// plain struct for FaultSummary folding.
+// order and class. Counters land in the metrics registry (which the
+// robustness table reads) and are also exposed as a plain struct.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,7 @@
 #include "common/log.hpp"
 #include "hdfs/recovery.hpp"
 #include "smarth/local_optimizer.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::core {
 
@@ -275,6 +276,7 @@ void SmarthOutputStream::on_pipeline_error(ClientPipeline& pipeline,
   pipeline.failed = true;
   pipeline.watchdog.cancel();
   ++stats_.recoveries;
+  metrics::global_registry().counter("stream.recoveries").add();
   note_recovery_start(pipeline.id);
   pipeline.pending.insert(pipeline.pending.begin(),
                           pipeline.ack_queue.begin(),
@@ -320,6 +322,9 @@ void SmarthOutputStream::recover_next_error_pipeline() {
         stats_.quarantine_events += result.value().quarantined;
         if (result.value().under_replicated) {
           ++stats_.under_replication_events;
+          metrics::global_registry()
+              .counter("stream.under_replication_events")
+              .add();
         }
         resume_recovered_pipeline(id, result.value().targets,
                                   result.value().sync_offset);

@@ -22,6 +22,11 @@ void LatencyHistogram::observe(double v) {
   stats_.add(v);
 }
 
+void LatencyHistogram::merge(const LatencyHistogram& other) {
+  histogram_.merge(other.histogram_);
+  stats_.merge(other.stats_);
+}
+
 const std::vector<double>& default_latency_bounds() {
   static const std::vector<double> kBounds = [] {
     std::vector<double> bounds;
@@ -56,6 +61,11 @@ const Counter* Registry::find_counter(const std::string& name) const {
   return it == counters_.end() ? nullptr : &it->second;
 }
 
+std::uint64_t Registry::counter_value(const std::string& name) const {
+  const Counter* c = find_counter(name);
+  return c != nullptr ? c->value() : 0;
+}
+
 const Gauge* Registry::find_gauge(const std::string& name) const {
   auto it = gauges_.find(name);
   return it == gauges_.end() ? nullptr : &it->second;
@@ -71,6 +81,23 @@ void Registry::reset() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
+}
+
+void Registry::merge(const Registry& other) {
+  for (const auto& [name, c] : other.counters_) {
+    counters_[name].add(c.value());
+  }
+  for (const auto& [name, g] : other.gauges_) {
+    gauges_[name].add(g.value());
+  }
+  for (const auto& [name, h] : other.histograms_) {
+    auto it = histograms_.find(name);
+    if (it == histograms_.end()) {
+      histograms_.emplace(name, h);
+    } else {
+      it->second.merge(h);
+    }
+  }
 }
 
 std::string Registry::to_json() const {

@@ -46,6 +46,8 @@ class LatencyHistogram {
   explicit LatencyHistogram(std::vector<double> upper_bounds);
 
   void observe(double v);
+  /// Adds `other`'s buckets and summary stats (bounds must match).
+  void merge(const LatencyHistogram& other);
   std::size_t count() const { return stats_.count(); }
   const SummaryStats& stats() const { return stats_; }
   double quantile(double q) const { return histogram_.quantile(q); }
@@ -74,6 +76,8 @@ class Registry {
   const Counter* find_counter(const std::string& name) const;
   const Gauge* find_gauge(const std::string& name) const;
   const LatencyHistogram* find_histogram(const std::string& name) const;
+  /// A counter's value, 0 when absent (a count that never happened).
+  std::uint64_t counter_value(const std::string& name) const;
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
@@ -85,6 +89,12 @@ class Registry {
   /// that cache must re-resolve after a reset (smarthsim resets between
   /// protocol runs, before constructing the next cluster).
   void reset();
+
+  /// Folds `other` into this registry: counters and gauges add, histograms
+  /// add their buckets and merge their summary stats, and metrics only
+  /// `other` has are copied in. Merging an empty registry is the identity.
+  /// The seed-sweep driver sums per-seed snapshots with it.
+  void merge(const Registry& other);
 
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,mean_ns,
   /// min_ns,max_ns,p50_ns,p95_ns,p99_ns}}}

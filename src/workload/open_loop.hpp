@@ -68,7 +68,7 @@ class OpenLoopWorkload {
   OpenLoopWorkload(cluster::Protocol protocol, OpenLoopConfig config);
 
   /// Optional observer invoked with each job's terminal StreamStats (for
-  /// FaultSummary folding by the CLI).
+  /// per-job accounting by benchmark drivers).
   void set_job_observer(std::function<void(const hdfs::StreamStats&)> cb) {
     on_job_done_ = std::move(cb);
   }

@@ -10,6 +10,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/cluster_spec.hpp"
 #include "faults/fault_injector.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth {
 namespace {
@@ -153,6 +154,7 @@ TEST(ClientCrash, NewWriterTakesOverPathAfterRecovery) {
 }
 
 TEST(ClientCrash, RestartedClientWritesAgain) {
+  metrics::global_registry().reset();
   Cluster cluster(crash_spec(31));
   faults::FaultInjector injector(cluster, /*chaos_seed=*/5);
 
@@ -171,8 +173,9 @@ TEST(ClientCrash, RestartedClientWritesAgain) {
       cluster.run_upload("/w2", 16 * kMiB, Protocol::kHdfs);
   EXPECT_FALSE(second.failed) << second.failure_reason;
   EXPECT_TRUE(cluster.file_fully_replicated("/w2"));
-  EXPECT_EQ(injector.counts().client_crashes, 1u);
-  EXPECT_EQ(injector.counts().client_restarts, 1u);
+  const metrics::Registry& reg = metrics::global_registry();
+  EXPECT_EQ(reg.counter_value("faults.client_crashes"), 1u);
+  EXPECT_EQ(reg.counter_value("faults.client_restarts"), 1u);
 }
 
 }  // namespace

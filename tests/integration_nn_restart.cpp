@@ -14,6 +14,7 @@
 #include "faults/fault_injector.hpp"
 #include "hdfs/edit_log.hpp"
 #include "hdfs/fsimage.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth {
 namespace {
@@ -60,6 +61,7 @@ struct OutageRun {
 OutageRun upload_through_outage(std::uint64_t seed, Protocol protocol,
                                 hdfs::DataFidelity fidelity) {
   constexpr Bytes kSize = 64 * kMiB;
+  metrics::global_registry().reset();
   Cluster cluster(nn_spec(seed, fidelity));
   faults::FaultInjector injector(cluster, /*chaos_seed=*/3);
   injector.crash_and_restart_namenode(seconds(2), seconds(4));
@@ -68,8 +70,9 @@ OutageRun upload_through_outage(std::uint64_t seed, Protocol protocol,
       cluster.run_upload("/outage", kSize, protocol);
   EXPECT_FALSE(stats.failed) << stats.failure_reason;
   EXPECT_FALSE(cluster.namenode_crashed());
-  EXPECT_EQ(cluster.namenode().restarts(), 1u);
-  EXPECT_GE(cluster.namenode().safe_mode_entries(), 1u);
+  const metrics::Registry& reg = metrics::global_registry();
+  EXPECT_EQ(reg.counter_value("namenode.restarts"), 1u);
+  EXPECT_GE(reg.counter_value("namenode.safe_mode_entries"), 1u);
   EXPECT_FALSE(cluster.namenode().safe_mode());
 
   // Byte-exact: the namespace serves exactly the uploaded bytes and every
@@ -122,12 +125,14 @@ TEST(NamenodeRestart, SmarthBlockFidelityUploadSurvivesRestart) {
 TEST(NamenodeRestart, CheckpointBoundsReplayAndTruncatesLog) {
   cluster::ClusterSpec spec = nn_spec(41, hdfs::DataFidelity::kPacket);
   spec.hdfs.checkpoint_interval = seconds(2);
+  metrics::global_registry().reset();
   Cluster cluster(spec);
 
   const hdfs::StreamStats stats =
       cluster.run_upload("/ckpt", 64 * kMiB, Protocol::kHdfs);
   ASSERT_FALSE(stats.failed) << stats.failure_reason;
-  ASSERT_GE(cluster.checkpointer().checkpoints(), 1u);
+  ASSERT_GE(
+      metrics::global_registry().counter_value("namenode.checkpoints"), 1u);
 
   // Truncation dropped everything at or below the image's txid, so the
   // resident log is exactly the tail a restart would replay.
@@ -135,7 +140,8 @@ TEST(NamenodeRestart, CheckpointBoundsReplayAndTruncatesLog) {
   EXPECT_GT(image.last_txid, 0);
   EXPECT_EQ(cluster.edit_log().tail(image.last_txid).size(),
             cluster.edit_log().size());
-  EXPECT_LT(cluster.edit_log().size(), cluster.edit_log().appended());
+  EXPECT_LT(static_cast<std::int64_t>(cluster.edit_log().size()),
+            cluster.edit_log().last_txid());
 
   // A restart from that checkpoint replays only the tail and still restores
   // the full namespace.
@@ -184,6 +190,7 @@ TEST(NamenodeRestart, FailoverDowntimeStrictlyBelowColdRestart) {
 TEST(NamenodeRestart, StandbyTailsLogWithBoundedLag) {
   cluster::ClusterSpec spec = nn_spec(59, hdfs::DataFidelity::kPacket);
   spec.hdfs.checkpoint_interval = seconds(2);
+  metrics::global_registry().reset();
   Cluster cluster(spec);
   cluster.enable_standby();
 

@@ -109,6 +109,15 @@ struct SoakResult {
   bool operator==(const SoakResult& other) const = default;
 };
 
+/// Every injection the run applied, across all `faults.*` kinds.
+std::uint64_t faults_injected(const metrics::Registry& reg) {
+  std::uint64_t total = 0;
+  for (const auto& [name, counter] : reg.counters()) {
+    if (name.rfind("faults.", 0) == 0) total += counter.value();
+  }
+  return total;
+}
+
 /// Drives one chaos-soaked upload with a bounded loop. The hard property is
 /// "complete or fail cleanly before `deadline`": if neither happens the test
 /// fails instead of hanging.
@@ -118,11 +127,12 @@ SoakResult soak_once(
     const faults::ChaosRates& rates = soak_rates(),
     bool gray_defenses = false) {
   cluster::ClusterSpec spec = soak_spec(seed, fidelity);
+  // The registry carries the run's fault and repair counts, and feeds the
+  // hedge pace baseline and the in-flight gauge; reset before cluster
+  // construction (datanodes cache histogram pointers) so each run is
+  // self-contained.
+  metrics::global_registry().reset();
   if (gray_defenses) {
-    // The registry feeds the hedge pace baseline and the in-flight gauge;
-    // reset before cluster construction (datanodes cache histogram
-    // pointers) so each run's defense timeline is self-contained.
-    metrics::global_registry().reset();
     spec.hdfs.hedged_reads = true;
     spec.hdfs.slow_node_eviction = true;
   }
@@ -224,17 +234,22 @@ SoakResult soak_once(
   result.under_replication_events = stats->under_replication_events;
   result.rpc_retries = stats->rpc_retries;
   result.failed = stats->failed;
-  result.faults = injector.counts().total();
+  const metrics::Registry& reg = metrics::global_registry();
+  result.faults = faults_injected(reg);
   result.lease_expiries = cluster.namenode().lease_expiries();
   result.uc_blocks_recovered = cluster.namenode().uc_blocks_recovered();
   result.bytes_salvaged = cluster.namenode().bytes_salvaged();
   result.orphans_abandoned = cluster.namenode().orphans_abandoned();
-  result.bitrot_flips = injector.counts().bitrot_flips;
-  result.bad_replica_reports = cluster.namenode().bad_replica_reports();
-  result.nn_crashes = injector.counts().nn_crashes;
-  result.nn_restarts = injector.counts().nn_restarts;
-  result.nn_failovers = injector.counts().nn_failovers;
-  result.safe_mode_entries = cluster.namenode().safe_mode_entries();
+  result.bitrot_flips = reg.counter_value("faults.bitrot_flips");
+  result.bad_replica_reports =
+      reg.counter_value("namenode.bad_replica_reports");
+  result.nn_crashes = reg.counter_value("faults.nn_crashes");
+  result.nn_restarts = reg.counter_value("faults.nn_restarts");
+  result.nn_failovers = reg.counter_value("faults.nn_failovers");
+  result.safe_mode_entries = reg.counter_value("namenode.safe_mode_entries");
+  result.scrub_rot_detected = reg.counter_value("scanner.rot_detected");
+  result.replicas_invalidated =
+      reg.counter_value("datanode.replicas_invalidated");
   result.slow_evictions = stats->slow_evictions;
   result.slow_node_reports = cluster.namenode().slow_node_reports();
   if (read.has_value()) {
@@ -244,8 +259,6 @@ SoakResult soak_once(
     result.read_failed = read->failed;
   }
   for (std::size_t i = 0; i < cluster.datanode_count(); ++i) {
-    result.scrub_rot_detected += cluster.datanode(i).scanner().rot_detected();
-    result.replicas_invalidated += cluster.datanode(i).replicas_invalidated();
     for (const auto& replica :
          cluster.datanode(i).block_store().all_replicas()) {
       result.replicas[replica.block.value()][static_cast<std::int64_t>(i)] =
@@ -498,8 +511,9 @@ TEST(ChaosSoak, FailSlowHeavyDefensesOnIdenticalTimelines) {
 // The issue's acceptance scenario: a crash-and-rejoin plus a fail-slow node
 // plus a checksum offender during one upload. The upload must complete and
 // the robustness evidence (recoveries, quarantine, retry accounting) must
-// surface through StreamStats into the metrics fault summary.
+// surface in the metrics registry and its rendered robustness table.
 TEST(ChaosScenario, CrashRejoinFailSlowUploadCompletesWithEvidence) {
+  metrics::global_registry().reset();
   Cluster cluster(soak_spec(23));
   cluster.throttle_cross_rack(Bandwidth::mbps(60));
   faults::FaultInjector injector(cluster, /*chaos_seed=*/23);
@@ -525,18 +539,16 @@ TEST(ChaosScenario, CrashRejoinFailSlowUploadCompletesWithEvidence) {
   cluster.sim().run_until(std::max(cluster.sim().now(), seconds(12)) +
                           seconds(10));
 
-  metrics::FaultSummary summary;
-  summary.fold(*stats);
-  summary.rpc_calls_dropped = cluster.rpc().calls_dropped();
-  summary.datanode_reregistrations = cluster.namenode().reregistrations();
-  summary.faults_injected = injector.counts().total();
-  EXPECT_EQ(summary.uploads, 1);
-  EXPECT_EQ(summary.failed_uploads, 0);
-  EXPECT_GE(summary.quarantine_events, 1);
-  EXPECT_EQ(summary.datanode_reregistrations, 1u);
-  EXPECT_GE(summary.faults_injected, 3u);
+  const metrics::Registry& reg = metrics::global_registry();
+  EXPECT_EQ(reg.counter_value("client.uploads"), 1u);
+  EXPECT_EQ(reg.counter_value("client.uploads_failed"), 0u);
+  EXPECT_EQ(reg.counter_value("stream.recoveries"),
+            static_cast<std::uint64_t>(stats->recoveries));
+  EXPECT_GE(reg.counter_value("quarantine.events"), 1u);
+  EXPECT_EQ(reg.counter_value("namenode.reregistrations"), 1u);
+  EXPECT_GE(faults_injected(reg), 3u);
   // The rendered table carries every robustness counter.
-  const std::string table = metrics::render_fault_summary(summary);
+  const std::string table = metrics::render_robustness(reg);
   EXPECT_NE(table.find("recovery MTTR"), std::string::npos);
   EXPECT_NE(table.find("quarantine events"), std::string::npos);
   EXPECT_NE(table.find("under-replication events"), std::string::npos);

@@ -15,6 +15,7 @@
 #include "hdfs/edit_log.hpp"
 #include "hdfs/fsimage.hpp"
 #include "hdfs/namenode.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth {
 namespace {
@@ -118,6 +119,7 @@ TEST(NamenodeReplay, LeaseRecoveryHistoryReplaysBitForBit) {
 // a verified read must survive replay as a condemned entry.
 TEST(NamenodeReplay, QuarantineReplaysBitForBit) {
   cluster::ClusterSpec spec = replay_spec(21);
+  metrics::global_registry().reset();
   Cluster cluster(spec);
   faults::FaultInjector injector(cluster, /*chaos_seed=*/9);
   const hdfs::StreamStats up =
@@ -127,7 +129,9 @@ TEST(NamenodeReplay, QuarantineReplaysBitForBit) {
   cluster.sim().run_until(cluster.sim().now() + seconds(2));
   const hdfs::ReadStats read = cluster.run_download("/rot");
   ASSERT_FALSE(read.failed) << read.failure_reason;
-  ASSERT_GE(cluster.namenode().bad_replica_reports(), 1u);
+  ASSERT_GE(metrics::global_registry().counter_value(
+                "namenode.bad_replica_reports"),
+            1u);
   expect_replay_equivalent(cluster, hdfs::NamenodeImage{});
 }
 
@@ -136,6 +140,7 @@ TEST(NamenodeReplay, QuarantineReplaysBitForBit) {
 TEST(NamenodeReplay, CheckpointPlusTailEqualsFullReplay) {
   cluster::ClusterSpec spec = replay_spec(31);
   spec.hdfs.checkpoint_interval = seconds(2);
+  metrics::global_registry().reset();
   Cluster cluster(spec);
   const hdfs::StreamStats a =
       cluster.run_upload("/c1", 40 * kMiB, Protocol::kHdfs);
@@ -143,7 +148,8 @@ TEST(NamenodeReplay, CheckpointPlusTailEqualsFullReplay) {
   const hdfs::StreamStats b =
       cluster.run_upload("/c2", 24 * kMiB, Protocol::kSmarth);
   ASSERT_FALSE(b.failed) << b.failure_reason;
-  ASSERT_GE(cluster.checkpointer().checkpoints(), 1u);
+  ASSERT_GE(
+      metrics::global_registry().counter_value("namenode.checkpoints"), 1u);
   ASSERT_GT(cluster.checkpointer().latest().last_txid, 0);
   expect_replay_equivalent(cluster, cluster.checkpointer().latest());
 }
@@ -152,6 +158,7 @@ TEST(NamenodeReplay, CheckpointPlusTailEqualsFullReplay) {
 // the restart's own replay re-executes mutation helpers, and none of them
 // may re-journal (the log would double-apply on the next replay).
 TEST(NamenodeReplay, HistoryContainingRestartReplaysBitForBit) {
+  metrics::global_registry().reset();
   Cluster cluster(replay_spec(41));
   // Slow the pipeline down so the outage lands mid-upload.
   cluster.throttle_cross_rack(Bandwidth::mbps(60));
@@ -163,7 +170,8 @@ TEST(NamenodeReplay, HistoryContainingRestartReplaysBitForBit) {
   ASSERT_TRUE(drive_until(cluster, seconds(120),
                           [&stats] { return stats.has_value(); }));
   ASSERT_FALSE(stats->failed) << stats->failure_reason;
-  EXPECT_EQ(cluster.namenode().restarts(), 1u);
+  EXPECT_EQ(metrics::global_registry().counter_value("namenode.restarts"),
+            1u);
   // Heartbeats renew leases continuously after the restart, so the live
   // lease stamps (reset at restore, renewed since) converge with replay's.
   expect_replay_equivalent(cluster, hdfs::NamenodeImage{});
@@ -172,6 +180,7 @@ TEST(NamenodeReplay, HistoryContainingRestartReplaysBitForBit) {
 // Truncation safety: asking for a tail below the truncation point is a
 // programming error and must fail loudly, never silently replay a hole.
 TEST(NamenodeReplay, TruncatedTailIsRefused) {
+  metrics::global_registry().reset();
   hdfs::EditLog log;
   for (int i = 0; i < 5; ++i) {
     hdfs::EditOp op;
@@ -181,7 +190,9 @@ TEST(NamenodeReplay, TruncatedTailIsRefused) {
   log.truncate_through(3);
   EXPECT_EQ(log.tail(3).size(), 2u);
   EXPECT_EQ(log.size(), 2u);
-  EXPECT_EQ(log.appended(), 5u);
+  EXPECT_EQ(log.last_txid(), 5);
+  EXPECT_EQ(metrics::global_registry().counter_value("namenode.edit_ops"),
+            5u);
   EXPECT_THROW(log.tail(1), std::logic_error);
 }
 

@@ -1,13 +1,14 @@
 // Namenode service-capacity model and overload defense: the ServiceQueue's
 // two modes (undefended FIFO vs admission control with priority bands,
 // bounded depth, heartbeat batching, tenant caps), the typed-rejection retry
-// path in call_with_retry, and the FaultSummary plumbing for the new
-// overload counters.
+// path in call_with_retry, and the registry plumbing (merge, robustness
+// table) for the overload counters.
 #include "rpc/service_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -292,59 +293,56 @@ TEST_F(OverloadRetryTest, ShedResponseShortCircuitsTheServiceQueue) {
   EXPECT_EQ(queue.counters().shed_total, 1u);
 }
 
-// --- FaultSummary plumbing --------------------------------------------------
+// --- Registry plumbing ------------------------------------------------------
 
-TEST(FaultSummaryOverload, MergeAddsOverloadCounters) {
-  metrics::FaultSummary a;
-  a.nn_ops_admitted = 10;
-  a.nn_ops_shed = 3;
-  a.nn_shed_heartbeats = 1;
-  a.nn_shed_add_blocks = 2;
-  a.nn_addblock_cap_rejections = 1;
-  a.nn_heartbeat_batches = 4;
-  a.nn_heartbeats_batched = 12;
-  a.overload_retries = 5;
-  metrics::FaultSummary b;
-  b.nn_ops_admitted = 7;
-  b.nn_ops_shed = 2;
-  b.nn_shed_heartbeats = 2;
-  b.nn_shed_add_blocks = 0;
-  b.nn_addblock_cap_rejections = 0;
-  b.nn_heartbeat_batches = 1;
-  b.nn_heartbeats_batched = 2;
-  b.overload_retries = 1;
+// The eight overload counters, in the robustness table's row order.
+const char* const kOverloadCounters[] = {
+    "nn.rpc.admitted",         "nn.rpc.shed",
+    "nn.rpc.shed_heartbeats",  "nn.rpc.shed_add_blocks",
+    "nn.rpc.addblock_cap_rejections", "nn.rpc.heartbeat_batches",
+    "nn.rpc.heartbeats_batched",      "rpc.overload_retries"};
+
+TEST(OverloadRegistry, MergeAddsOverloadCounters) {
+  const std::uint64_t a_values[] = {10, 3, 1, 2, 1, 4, 12, 5};
+  const std::uint64_t b_values[] = {7, 2, 2, 0, 0, 1, 2, 1};
+  metrics::Registry a;
+  metrics::Registry b;
+  for (std::size_t i = 0; i < std::size(kOverloadCounters); ++i) {
+    a.counter(kOverloadCounters[i]).add(a_values[i]);
+    b.counter(kOverloadCounters[i]).add(b_values[i]);
+  }
   a.merge(b);
-  EXPECT_EQ(a.nn_ops_admitted, 17u);
-  EXPECT_EQ(a.nn_ops_shed, 5u);
-  EXPECT_EQ(a.nn_shed_heartbeats, 3u);
-  EXPECT_EQ(a.nn_shed_add_blocks, 2u);
-  EXPECT_EQ(a.nn_addblock_cap_rejections, 1u);
-  EXPECT_EQ(a.nn_heartbeat_batches, 5u);
-  EXPECT_EQ(a.nn_heartbeats_batched, 14u);
-  EXPECT_EQ(a.overload_retries, 6u);
+  for (std::size_t i = 0; i < std::size(kOverloadCounters); ++i) {
+    EXPECT_EQ(a.counter_value(kOverloadCounters[i]), a_values[i] + b_values[i])
+        << kOverloadCounters[i];
+  }
 }
 
-TEST(FaultSummaryOverload, FoldRegistryOverlaysOverloadCounters) {
-  metrics::global_registry().reset();
-  metrics::global_registry().counter("nn.rpc.admitted").add(20);
-  metrics::global_registry().counter("nn.rpc.shed").add(4);
-  metrics::global_registry().counter("nn.rpc.shed_heartbeats").add(1);
-  metrics::global_registry().counter("nn.rpc.heartbeat_batches").add(2);
-  metrics::global_registry().counter("nn.rpc.heartbeats_batched").add(6);
-  metrics::global_registry().counter("rpc.overload_retries").add(3);
-  metrics::FaultSummary summary;
-  summary.fold_registry(metrics::global_registry());
-  EXPECT_EQ(summary.nn_ops_admitted, 20u);
-  EXPECT_EQ(summary.nn_ops_shed, 4u);
-  EXPECT_EQ(summary.nn_shed_heartbeats, 1u);
-  EXPECT_EQ(summary.nn_heartbeat_batches, 2u);
-  EXPECT_EQ(summary.nn_heartbeats_batched, 6u);
-  EXPECT_EQ(summary.overload_retries, 3u);
-  // The render includes the new rows (smoke: no crash, mentions the series).
-  const std::string table = metrics::render_fault_summary(summary);
-  EXPECT_NE(table.find("nn ops shed"), std::string::npos);
-  EXPECT_NE(table.find("overload retries"), std::string::npos);
-  metrics::global_registry().reset();
+TEST(OverloadRegistry, RobustnessTableRendersOverloadCounters) {
+  metrics::Registry reg;
+  reg.counter("nn.rpc.admitted").add(20);
+  reg.counter("nn.rpc.shed").add(4);
+  reg.counter("nn.rpc.shed_heartbeats").add(1);
+  reg.counter("nn.rpc.heartbeat_batches").add(2);
+  reg.counter("nn.rpc.heartbeats_batched").add(6);
+  reg.counter("rpc.overload_retries").add(3);
+  const std::string table = metrics::render_robustness(reg);
+  // Each row carries its counter's value; absent counters render as 0.
+  const auto row_value = [&table](const std::string& label) {
+    const std::size_t at = table.find("\n" + label + " ");
+    if (at == std::string::npos) return std::string("<missing>");
+    const std::size_t begin =
+        table.find_first_not_of(' ', at + 1 + label.size());
+    return table.substr(begin, table.find_first_of(" \n", begin) - begin);
+  };
+  EXPECT_EQ(row_value("nn ops admitted"), "20");
+  EXPECT_EQ(row_value("nn ops shed"), "4");
+  EXPECT_EQ(row_value("nn shed heartbeats"), "1");
+  EXPECT_EQ(row_value("nn shed addBlocks"), "0");
+  EXPECT_EQ(row_value("nn addBlock cap rejections"), "0");
+  EXPECT_EQ(row_value("nn heartbeat batches"), "2");
+  EXPECT_EQ(row_value("nn heartbeats batched"), "6");
+  EXPECT_EQ(row_value("overload retries"), "3");
 }
 
 }  // namespace

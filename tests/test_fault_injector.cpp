@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "cluster/cluster.hpp"
 #include "cluster/cluster_spec.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::faults {
 namespace {
@@ -14,18 +18,35 @@ namespace {
 using cluster::Cluster;
 using cluster::small_cluster;
 
+// Injections are counted into the thread's metrics registry; each test
+// resets it before building its cluster (which caches registry references).
+std::uint64_t count(const char* name) {
+  return metrics::global_registry().counter_value(name);
+}
+
+/// Every `faults.*` counter, by name.
+std::map<std::string, std::uint64_t> fault_counts() {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, counter] : metrics::global_registry().counters()) {
+    if (name.rfind("faults.", 0) == 0) out[name] = counter.value();
+  }
+  return out;
+}
+
 TEST(FaultInjectorTest, CrashWithoutRejoinStaysDark) {
+  metrics::global_registry().reset();
   Cluster cluster(small_cluster(1));
   FaultInjector injector(cluster);
   injector.crash(0, seconds(1));
   cluster.sim().run_until(seconds(10));
   EXPECT_TRUE(cluster.datanode(0).crashed());
-  EXPECT_EQ(injector.counts().crashes, 1u);
-  EXPECT_EQ(injector.counts().restarts, 0u);
-  EXPECT_EQ(cluster.namenode().reregistrations(), 0u);
+  EXPECT_EQ(count("faults.crashes"), 1u);
+  EXPECT_EQ(count("faults.restarts"), 0u);
+  EXPECT_EQ(count("namenode.reregistrations"), 0u);
 }
 
 TEST(FaultInjectorTest, CrashAndRejoinReregisters) {
+  metrics::global_registry().reset();
   Cluster cluster(small_cluster(1));
   FaultInjector injector(cluster);
   injector.crash_and_rejoin(0, seconds(1), seconds(4));
@@ -33,14 +54,15 @@ TEST(FaultInjectorTest, CrashAndRejoinReregisters) {
   EXPECT_TRUE(cluster.datanode(0).crashed());
   cluster.sim().run_until(seconds(10));
   EXPECT_FALSE(cluster.datanode(0).crashed());
-  EXPECT_EQ(injector.counts().crashes, 1u);
-  EXPECT_EQ(injector.counts().restarts, 1u);
+  EXPECT_EQ(count("faults.crashes"), 1u);
+  EXPECT_EQ(count("faults.restarts"), 1u);
   // The reboot re-registered with the namenode (heartbeats resumed).
-  EXPECT_EQ(cluster.namenode().reregistrations(), 1u);
+  EXPECT_EQ(count("namenode.reregistrations"), 1u);
   EXPECT_FALSE(cluster.rpc().host_down(cluster.datanode_id(0)));
 }
 
 TEST(FaultInjectorTest, FailSlowThrottlesThenRestores) {
+  metrics::global_registry().reset();
   Cluster cluster(small_cluster(1));
   FaultInjector injector(cluster);
   const NodeId node = cluster.datanode_id(0);
@@ -56,10 +78,11 @@ TEST(FaultInjectorTest, FailSlowThrottlesThenRestores) {
   cluster.sim().run_until(seconds(5));
   EXPECT_EQ(cluster.network().node_nic(node), nic_before);
   EXPECT_EQ(cluster.datanode(0).disk().write_bandwidth(), disk_before);
-  EXPECT_EQ(injector.counts().fail_slows, 1u);
+  EXPECT_EQ(count("faults.fail_slows"), 1u);
 }
 
 TEST(FaultInjectorTest, FlapIsolatesThenHeals) {
+  metrics::global_registry().reset();
   Cluster cluster(small_cluster(1));
   FaultInjector injector(cluster);
   const NodeId node = cluster.datanode_id(0);
@@ -68,10 +91,11 @@ TEST(FaultInjectorTest, FlapIsolatesThenHeals) {
   EXPECT_TRUE(cluster.network().node_isolated(node));
   cluster.sim().run_until(seconds(3));
   EXPECT_FALSE(cluster.network().node_isolated(node));
-  EXPECT_EQ(injector.counts().flaps, 1u);
+  EXPECT_EQ(count("faults.flaps"), 1u);
 }
 
 TEST(FaultInjectorTest, RpcChaosInstalledOnBus) {
+  metrics::global_registry().reset();
   Cluster cluster(small_cluster(1));
   FaultInjector injector(cluster);
   injector.set_rpc_chaos(0.05, milliseconds(2), milliseconds(1));
@@ -91,34 +115,34 @@ ChaosRates moderate_rates() {
 }
 
 TEST(FaultInjectorTest, ChaosModeInjectsFaults) {
+  metrics::global_registry().reset();
   Cluster cluster(small_cluster(1));
   FaultInjector injector(cluster, /*chaos_seed=*/7);
   injector.start_chaos(moderate_rates());
   EXPECT_TRUE(injector.chaos_running());
   cluster.sim().run_until(seconds(120));
-  EXPECT_GT(injector.counts().total(), 0u);
+  EXPECT_FALSE(fault_counts().empty());
   injector.stop_chaos();
   EXPECT_FALSE(injector.chaos_running());
 }
 
 TEST(FaultInjectorTest, ChaosTimelineIsSeedDeterministic) {
   auto run = [](std::uint64_t chaos_seed) {
-    Cluster cluster(small_cluster(1));
+    metrics::global_registry().reset();
+  Cluster cluster(small_cluster(1));
     FaultInjector injector(cluster, chaos_seed);
     injector.start_chaos(moderate_rates());
     cluster.sim().run_until(seconds(120));
-    return injector.counts();
+    return fault_counts();
   };
-  const InjectionCounts a = run(99);
-  const InjectionCounts b = run(99);
-  EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.restarts, b.restarts);
-  EXPECT_EQ(a.fail_slows, b.fail_slows);
-  EXPECT_EQ(a.flaps, b.flaps);
-  EXPECT_EQ(a.total(), b.total());
+  const auto a = run(99);
+  const auto b = run(99);
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a, b);
 }
 
 TEST(FaultInjectorTest, ChaosCrashesAlwaysRejoin) {
+  metrics::global_registry().reset();
   Cluster cluster(small_cluster(1));
   FaultInjector injector(cluster, /*chaos_seed=*/11);
   ChaosRates rates;
@@ -129,8 +153,8 @@ TEST(FaultInjectorTest, ChaosCrashesAlwaysRejoin) {
   injector.stop_chaos();
   // Give the last scheduled rejoin time to land.
   cluster.sim().run_until(cluster.sim().now() + seconds(10));
-  EXPECT_GT(injector.counts().crashes, 0u);
-  EXPECT_EQ(injector.counts().crashes, injector.counts().restarts);
+  EXPECT_GT(count("faults.crashes"), 0u);
+  EXPECT_EQ(count("faults.crashes"), count("faults.restarts"));
   for (std::size_t i = 0; i < cluster.datanode_count(); ++i) {
     EXPECT_FALSE(cluster.datanode(i).crashed()) << "datanode " << i;
   }

@@ -1,11 +1,13 @@
 // Tests for the metrics renderers and the experiment harness: comparison
-// math, table/CSV shapes, scenario builders, speed pre-warming, and
-// protocol-pairing on identical worlds.
+// math, table/CSV shapes, registry merging and the robustness table,
+// scenario builders, speed pre-warming, and protocol-pairing on identical
+// worlds.
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
 #include "metrics/report.hpp"
 #include "metrics/timeline.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth {
 namespace {
@@ -43,6 +45,133 @@ TEST(Metrics, ObservationsTable) {
   const std::string table = metrics::render_observations({obs});
   EXPECT_NE(table.find("SMARTH"), std::string::npos);
   EXPECT_NE(table.find("hetero"), std::string::npos);
+}
+
+// Value cell of the robustness table row labelled `label`.
+std::string robustness_row(const std::string& table, const std::string& label) {
+  const std::size_t at = table.find("\n" + label + " ");
+  if (at == std::string::npos) return "<missing>";
+  const std::size_t begin =
+      table.find_first_not_of(' ', at + 1 + label.size());
+  const std::size_t end = table.find('\n', begin);
+  std::string cell = table.substr(begin, end - begin);
+  cell.erase(cell.find_last_not_of(' ') + 1);
+  return cell;
+}
+
+TEST(Registry, MergeAddsHistogramBucketsAndStats) {
+  metrics::Registry a;
+  metrics::Registry b;
+  a.histogram("x_ns").observe(2e4);
+  a.histogram("x_ns").observe(5e6);
+  b.histogram("x_ns").observe(5e6);
+  b.histogram("x_ns").observe(7e9);
+  b.histogram("only_b_ns").observe(1e5);
+  a.counter("c").add(2);
+  b.counter("c").add(3);
+  a.gauge("g").set(1.5);
+  b.gauge("g").set(2.0);
+  a.merge(b);
+
+  const metrics::LatencyHistogram* h = a.find_histogram("x_ns");
+  ASSERT_NE(h, nullptr);
+  // Buckets add: the merged histogram equals one fed all four samples.
+  metrics::LatencyHistogram all(metrics::default_latency_bounds());
+  for (double v : {2e4, 5e6, 5e6, 7e9}) all.observe(v);
+  ASSERT_EQ(h->histogram().bucket_count(), all.histogram().bucket_count());
+  for (std::size_t i = 0; i < all.histogram().bucket_count(); ++i) {
+    EXPECT_EQ(h->histogram().bucket(i), all.histogram().bucket(i)) << i;
+  }
+  EXPECT_EQ(h->histogram().total(), 4u);
+  EXPECT_DOUBLE_EQ(h->quantile(0.5), all.quantile(0.5));
+  // Summary stats merge exactly where it matters and closely elsewhere.
+  EXPECT_EQ(h->count(), 4u);
+  EXPECT_DOUBLE_EQ(h->stats().sum(), all.stats().sum());
+  EXPECT_DOUBLE_EQ(h->stats().min(), 2e4);
+  EXPECT_DOUBLE_EQ(h->stats().max(), 7e9);
+  EXPECT_DOUBLE_EQ(h->stats().mean(), all.stats().mean());
+  EXPECT_NEAR(h->stats().population_stddev(),
+              all.stats().population_stddev(),
+              1e-9 * all.stats().population_stddev());
+  // A histogram only the other side had is copied in.
+  ASSERT_NE(a.find_histogram("only_b_ns"), nullptr);
+  EXPECT_EQ(a.find_histogram("only_b_ns")->count(), 1u);
+  EXPECT_EQ(a.counter_value("c"), 5u);
+  EXPECT_DOUBLE_EQ(a.find_gauge("g")->value(), 3.5);
+}
+
+TEST(Registry, MergingAnEmptyRegistryIsTheIdentity) {
+  metrics::Registry a;
+  a.counter("c").add(7);
+  a.gauge("g").set(2.5);
+  a.histogram("h_ns").observe(3e6);
+  a.histogram("h_ns").observe(4e8);
+  const std::string before = a.to_json();
+  a.merge(metrics::Registry{});
+  EXPECT_EQ(a.to_json(), before);
+  // ...from either side: an empty registry merging `a` becomes `a`.
+  metrics::Registry empty;
+  empty.merge(a);
+  EXPECT_EQ(empty.to_json(), before);
+  EXPECT_DOUBLE_EQ(empty.find_histogram("h_ns")->stats().population_stddev(),
+                   a.find_histogram("h_ns")->stats().population_stddev());
+}
+
+TEST(Robustness, AbsentMetricsRenderAsZero) {
+  const std::string table = metrics::render_robustness(metrics::Registry{});
+  EXPECT_EQ(robustness_row(table, "uploads"), "0");
+  EXPECT_EQ(robustness_row(table, "recovery MTTR (s)"), "0.00");
+  EXPECT_EQ(robustness_row(table, "under-replicated blocks"), "0");
+  EXPECT_EQ(robustness_row(table, "faults injected"), "0");
+  EXPECT_EQ(robustness_row(table, "overload retries"), "0");
+  // No outage completed: no downtime rows at all.
+  EXPECT_EQ(table.find("nn downtime"), std::string::npos);
+}
+
+TEST(Robustness, RowsReadTheRegistry) {
+  metrics::Registry reg;
+  reg.counter("client.uploads").add(3);
+  reg.counter("stream.recoveries").add(4);
+  reg.histogram("stream.recovery_ns").observe(1.5e9);
+  reg.histogram("stream.recovery_ns").observe(0.5e9);
+  reg.counter("faults.crashes").add(2);
+  reg.counter("faults.fail_slows").add(5);
+  reg.counter("faults.bitrot_flips").add(1);
+  reg.gauge("nn.under_replicated").set(6.0);
+  const std::string table = metrics::render_robustness(reg);
+  EXPECT_EQ(robustness_row(table, "uploads"), "3");
+  EXPECT_EQ(robustness_row(table, "recoveries"), "4");
+  // MTTR: completed recovery time over recoveries started (2 s / 4).
+  EXPECT_EQ(robustness_row(table, "recovery MTTR (s)"), "0.50");
+  // "faults injected" sums every faults.* kind; per-kind rows read theirs.
+  EXPECT_EQ(robustness_row(table, "faults injected"), "8");
+  EXPECT_EQ(robustness_row(table, "bitrot flips"), "1");
+  EXPECT_EQ(robustness_row(table, "under-replicated blocks"), "6");
+}
+
+TEST(Robustness, OneOutageDowntimeHasZeroSpread) {
+  metrics::Registry reg;
+  reg.histogram("namenode.downtime_ns").observe(3.25e9);
+  const std::string table = metrics::render_robustness(reg);
+  // A single sample: min == max == mean and stddev 0, never NaN.
+  EXPECT_EQ(robustness_row(table, "nn downtime mean (s)"), "3.25");
+  EXPECT_EQ(robustness_row(table, "nn downtime min/max (s)"), "3.25 / 3.25");
+  EXPECT_EQ(robustness_row(table, "nn downtime stddev (s)"), "0.00");
+  // A one-seed sweep merges into an empty registry and renders the same.
+  metrics::Registry merged;
+  merged.merge(reg);
+  EXPECT_EQ(metrics::render_robustness(merged), table);
+}
+
+TEST(Robustness, DowntimeStddevIsThePopulationOne) {
+  metrics::Registry reg;
+  reg.histogram("namenode.downtime_ns").observe(2e9);
+  reg.histogram("namenode.downtime_ns").observe(4e9);
+  const std::string table = metrics::render_robustness(reg);
+  EXPECT_EQ(robustness_row(table, "nn downtime mean (s)"), "3.00");
+  EXPECT_EQ(robustness_row(table, "nn downtime min/max (s)"), "2.00 / 4.00");
+  // Population (divide by n) stddev of {2, 4} is 1; the sample one is 1.41.
+  EXPECT_EQ(robustness_row(table, "nn downtime stddev (s)"), "1.00");
 }
 
 TEST(Harness, RunProtocolProducesCleanStats) {

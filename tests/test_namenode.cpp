@@ -4,6 +4,7 @@
 
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::hdfs {
 namespace {
@@ -215,6 +216,7 @@ TEST_F(NamenodeTest, BlockReceivedForUnknownBlockIsIgnored) {
 }
 
 TEST_F(NamenodeTest, ReregistrationIsIdempotent) {
+  metrics::global_registry().reset();
   const auto file = nn_->create("/a", client_);
   const auto located = add_block(file.value());
   ASSERT_TRUE(located.ok());
@@ -232,7 +234,9 @@ TEST_F(NamenodeTest, ReregistrationIsIdempotent) {
   nn_->register_datanode(dn);
   nn_->register_datanode(dn);
   EXPECT_EQ(nn_->registered_datanode_count(), registered);
-  EXPECT_EQ(nn_->reregistrations(), 2u);
+  EXPECT_EQ(
+      metrics::global_registry().counter_value("namenode.reregistrations"),
+      2u);
   EXPECT_TRUE(nn_->is_alive(dn));
   EXPECT_EQ(nn_->block(block)->reported.count(dn), 0u);
   // The other replicas' claims are untouched.

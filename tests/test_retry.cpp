@@ -1,7 +1,7 @@
 // Unit tests of the client-side RPC retry wrapper: first-attempt success,
 // recovery across a server outage, bounded give-up, duplicate-response
 // hygiene when a slow response races its own timeout, and the RpcBus
-// drop/loss counters the metrics report surfaces.
+// drop/loss/delay counters it records into the metrics registry.
 #include "rpc/retry.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "net/network.hpp"
 #include "rpc/rpc_bus.hpp"
 #include "sim/simulation.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::rpc {
 namespace {
@@ -18,8 +19,13 @@ namespace {
 class RetryTest : public ::testing::Test {
  protected:
   RetryTest() : sim_(1), net_(sim_), bus_(net_) {
+    metrics::global_registry().reset();
     client_ = net_.add_node("client", "/r0", Bandwidth::mbps(1000));
     server_ = net_.add_node("server", "/r0", Bandwidth::mbps(1000));
+  }
+
+  static std::uint64_t counter(const char* name) {
+    return metrics::global_registry().counter_value(name);
   }
 
   RetryPolicy fast_policy() const {
@@ -67,7 +73,7 @@ TEST_F(RetryTest, RetriesThroughServerOutage) {
   EXPECT_EQ(*response, 7);
   EXPECT_GE(stats->retries, 1u);
   EXPECT_EQ(stats->give_ups, 0u);
-  EXPECT_GE(bus_.calls_dropped(), 1u);
+  EXPECT_GE(counter("rpc.calls_dropped"), 1u);
 }
 
 TEST_F(RetryTest, GivesUpAfterBoundedAttempts) {
@@ -100,7 +106,7 @@ TEST_F(RetryTest, SlowResponseSettlesExactlyOnce) {
   sim_.run_until(seconds(30));
   EXPECT_EQ(responses, 1);
   EXPECT_GE(stats->retries, 1u);
-  EXPECT_GT(bus_.messages_delayed(), 0u);
+  EXPECT_GT(counter("rpc.messages_delayed"), 0u);
 }
 
 TEST_F(RetryTest, ChaosLossForcesGiveUp) {
@@ -114,14 +120,14 @@ TEST_F(RetryTest, ChaosLossForcesGiveUp) {
       [](int) { FAIL(); }, [&give_ups] { ++give_ups; }, stats);
   sim_.run_until(seconds(60));
   EXPECT_EQ(give_ups, 1);
-  EXPECT_GE(bus_.messages_lost(), 4u);  // every attempt's request vanished
+  EXPECT_GE(counter("rpc.messages_lost"), 4u);  // every attempt's request vanished
 }
 
 TEST_F(RetryTest, DroppedCallCounterTracksHostDownCalls) {
   bus_.set_host_down(server_, true);
   bus_.call<int>(client_, server_, [] { return 1; }, [](int) { FAIL(); });
   sim_.run_until(seconds(1));
-  EXPECT_EQ(bus_.calls_dropped(), 1u);
+  EXPECT_EQ(counter("rpc.calls_dropped"), 1u);
   EXPECT_EQ(bus_.calls_completed(), 0u);
   EXPECT_EQ(bus_.calls_started(), 1u);
 }

@@ -40,11 +40,8 @@ using namespace smarth;
 namespace {
 
 cluster::ClusterSpec spec_from_flags(const FlagSet& flags,
-                                     std::optional<std::uint64_t> seed_override =
-                                         std::nullopt) {
+                                     std::uint64_t seed) {
   const std::string name = flags.get("cluster");
-  const std::uint64_t seed = seed_override.value_or(
-      static_cast<std::uint64_t>(flags.get_int("seed").value_or(42)));
   cluster::ClusterSpec spec;
   if (name == "hetero" || name == "heterogeneous") {
     spec = cluster::heterogeneous_cluster(seed);
@@ -85,33 +82,6 @@ cluster::ClusterSpec spec_from_flags(const FlagSet& flags,
   return spec;
 }
 
-struct RunOutcome {
-  hdfs::StreamStats stats;
-  std::optional<hdfs::ReadStats> read;
-  metrics::Timeline concurrency{"pipeline concurrency"};
-  metrics::FaultSummary summary;
-  std::uint64_t events = 0;
-  std::string editlog_json;  ///< filled when --editlog-out is set
-};
-
-/// Splits "a=1,b=2" into (key, value) pairs.
-std::vector<std::pair<std::string, std::string>> parse_kv_list(
-    const std::string& text) {
-  std::vector<std::pair<std::string, std::string>> out;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string item = text.substr(start, comma - start);
-    const std::size_t eq = item.find('=');
-    if (eq != std::string::npos) {
-      out.emplace_back(item.substr(0, eq), item.substr(eq + 1));
-    }
-    start = comma + 1;
-  }
-  return out;
-}
-
 void write_file_or_die(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -142,7 +112,19 @@ bool ends_with(const std::string& text, const std::string& suffix) {
 /// nnrestart-s=<s>,nnfailover=<0|1>.
 faults::ChaosRates parse_chaos_rates(const std::string& text) {
   faults::ChaosRates rates;
-  for (const auto& [key, value] : parse_kv_list(text)) {
+  std::size_t start = 0;
+  while (start < text.size()) {
+    std::size_t comma = text.find(',', start);
+    if (comma == std::string::npos) comma = text.size();
+    const std::string item = text.substr(start, comma - start);
+    start = comma + 1;
+    const std::size_t eq = item.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      fault_flag_error("chaos-rates",
+                       "expected <key>=<value>, got '" + item + "'");
+    }
+    const std::string key = item.substr(0, eq);
+    const std::string value = item.substr(eq + 1);
     double v = 0;
     try {
       v = std::stod(value);
@@ -206,7 +188,8 @@ SimDuration sample_interval_flag(const FlagSet& flags) {
 }
 
 /// Parses the one-shot fault flags (--crash/--rejoin/--fail-slow/--flap/
-/// --bitrot) into a FaultPlan. Exits loudly on malformed specs.
+/// --bitrot) into a FaultPlan. Exits loudly on malformed specs, and on a
+/// --rejoin that could not reboot the --crash node.
 workload::FaultPlan plan_from_flags(const FlagSet& flags) {
   workload::FaultPlan plan;
   try {
@@ -221,25 +204,31 @@ workload::FaultPlan plan_from_flags(const FlagSet& flags) {
       const auto index =
           static_cast<std::size_t>(std::stol(crash.substr(0, at)));
       const SimDuration when = seconds_f(std::stod(crash.substr(at + 1)));
-      SimDuration rejoin_at = 0;
       if (flags.has("rejoin")) {
-        // --rejoin=<datanode>@<seconds>; must name the crashed node.
+        // --rejoin=<datanode>@<seconds>: reboots the crashed node later.
         const std::string rejoin = flags.get("rejoin");
         const auto rat = rejoin.find('@');
         if (rat == std::string::npos) {
           fault_flag_error("rejoin", "expected <datanode>@<seconds>, got " +
                                          rejoin);
         }
-        if (static_cast<std::size_t>(std::stol(rejoin.substr(0, rat))) ==
+        if (static_cast<std::size_t>(std::stol(rejoin.substr(0, rat))) !=
             index) {
-          rejoin_at = seconds_f(std::stod(rejoin.substr(rat + 1)));
+          fault_flag_error("rejoin", "must name the --crash datanode, got " +
+                                         rejoin);
         }
-      }
-      if (rejoin_at > when) {
+        const SimDuration rejoin_at =
+            seconds_f(std::stod(rejoin.substr(rat + 1)));
+        if (rejoin_at <= when) {
+          fault_flag_error("rejoin",
+                           "must come after the crash, got " + rejoin);
+        }
         plan.crash_and_rejoin(index, when, rejoin_at);
       } else {
         plan.crash(index, when);
       }
+    } else if (flags.has("rejoin")) {
+      fault_flag_error("rejoin", "requires --crash");
     }
     if (flags.has("fail-slow")) {
       // --fail-slow=<datanode>@<from>-<until>[@<factor>]; --fail-slow-factor
@@ -313,43 +302,14 @@ workload::FaultPlan plan_from_flags(const FlagSet& flags) {
   return plan;
 }
 
-/// Folds the cluster-level robustness counters (RPC bus, namenode, datanode
-/// scanners, injector) into `summary` after a run finishes.
-void fold_cluster_counters(metrics::FaultSummary& summary,
-                           cluster::Cluster& cluster,
-                           const faults::FaultInjector& injector) {
-  summary.fold_registry(metrics::global_registry());
-  summary.rpc_calls_dropped = cluster.rpc().calls_dropped();
-  summary.rpc_messages_lost = cluster.rpc().messages_lost();
-  summary.rpc_messages_delayed = cluster.rpc().messages_delayed();
-  summary.datanode_reregistrations = cluster.namenode().reregistrations();
-  summary.under_replicated_blocks =
-      cluster.namenode().under_replicated_blocks().size();
-  summary.faults_injected = injector.counts().total();
-  summary.lease_expiries = cluster.namenode().lease_expiries();
-  summary.uc_blocks_recovered = cluster.namenode().uc_blocks_recovered();
-  summary.bytes_salvaged = cluster.namenode().bytes_salvaged();
-  summary.orphans_abandoned = cluster.namenode().orphans_abandoned();
-  // The namenode count supersedes the per-read fold: it also sees reports
-  // from block scanners and re-replication source verification.
-  summary.bad_replica_reports =
-      static_cast<int>(cluster.namenode().bad_replica_reports());
-  summary.bitrot_flips = injector.counts().bitrot_flips;
-  summary.nn_crashes = injector.counts().nn_crashes;
-  summary.nn_restarts = injector.counts().nn_restarts;
-  summary.nn_failovers = injector.counts().nn_failovers;
-  summary.safe_mode_entries = cluster.namenode().safe_mode_entries();
-  summary.safe_mode_exits = cluster.namenode().safe_mode_exits();
-  summary.edit_ops_logged = cluster.edit_log().appended();
-  summary.checkpoints = cluster.checkpointer().checkpoints();
-  for (const SimDuration downtime : cluster.namenode_downtimes()) {
-    summary.nn_downtime.add(to_seconds(downtime));
-  }
-  for (std::size_t i = 0; i < cluster.datanode_count(); ++i) {
-    const hdfs::Datanode& dn = cluster.datanode(i);
-    summary.replicas_invalidated += dn.replicas_invalidated();
-    summary.scrub_rot_detected += dn.scanner().rot_detected();
-    summary.scrub_bytes_scanned += dn.scanner().bytes_scanned();
+/// Parses an optional "<seconds>" fault time (--client-crash, --nn-crash).
+std::optional<SimTime> fault_time_flag(const FlagSet& flags,
+                                       const std::string& name) {
+  if (!flags.has(name)) return std::nullopt;
+  try {
+    return seconds_f(std::stod(flags.get(name)));
+  } catch (const std::logic_error&) {
+    fault_flag_error(name, "expected <seconds>, got " + flags.get(name));
   }
 }
 
@@ -369,34 +329,67 @@ workload::OpenLoopConfig open_loop_config_from_flags(const FlagSet& flags) {
   return cfg;
 }
 
-struct OpenLoopOutcome {
-  workload::OpenLoopResult result;
-  metrics::FaultSummary summary;
-  std::uint64_t events = 0;
+/// The validated, mode-independent inputs every world is built from. Parsed
+/// once in main(), so a malformed flag exits before any run starts.
+struct RunConfig {
+  explicit RunConfig(const FlagSet& f) : flags(f) {}
+
+  const FlagSet& flags;
+  workload::FaultPlan plan;
+  std::optional<faults::ChaosRates> chaos;
+  std::optional<SimTime> client_crash_at;
+  std::optional<SimTime> nn_crash_at;
+  SimDuration nn_outage = seconds(3);
+  Bytes size = 0;
+  bool want_timeseries = false;
+  bool timeseries_csv = false;
+  metrics::FlightRecorderConfig flight_config;
+  /// Sweep mode: the world must not touch process-global state (the
+  /// logger), because seeds run on worker threads.
+  bool quiet = false;
 };
 
-/// One open-loop run: fresh world, shared throttle/fault setup, the
-/// multi-tenant arrival process instead of a single upload. `quiet` skips
-/// process-global logger mutation (required on sweep worker threads).
-OpenLoopOutcome run_open_loop_once(const FlagSet& flags,
-                                   cluster::Protocol protocol, bool quiet,
-                                   std::optional<std::uint64_t> seed_override =
-                                       std::nullopt,
-                                   std::optional<std::uint64_t> chaos_seed =
-                                       std::nullopt) {
+/// What a world yields besides its harness::SeedRun; only the solo
+/// presentation reads it.
+struct RunDetails {
+  std::optional<hdfs::ReadStats> read;
+  std::optional<workload::OpenLoopResult> open_loop;
+  metrics::Timeline concurrency{"pipeline concurrency"};
+  std::string editlog_json;  ///< filled when --editlog-out is set
+};
+
+/// Builds and runs one world for (protocol, seed, chaos seed): cluster,
+/// throttles, fault plan, writer and namenode crashes, chaos, then either
+/// the single upload (with its drive loops and read-back) or the open-loop
+/// workload. Ends by refreshing the cluster gauges and snapshotting the
+/// thread's metrics registry into `run`. Solo runs and every sweep seed go
+/// through here, so a one-seed sweep reproduces a solo run exactly.
+RunDetails run_world(const RunConfig& rc, cluster::Protocol protocol,
+                     std::uint64_t seed, std::uint64_t chaos_seed,
+                     harness::SeedRun& run) {
+  const FlagSet& flags = rc.flags;
+  // Fresh metrics per world. Must happen before the cluster exists:
+  // datanodes cache registry references at construction and a later reset
+  // would dangle them.
   metrics::global_registry().reset();
-  if (metrics::flight_active()) {
-    // Before the cluster exists: the constructor attaches the sampling task
-    // to whichever run is current.
-    metrics::flight_recorder()->begin_run(
-        cluster::protocol_name(protocol),
-        seed_override.value_or(
-            static_cast<std::uint64_t>(flags.get_int("seed").value_or(42))));
+  // Before the cluster exists too: its constructor attaches the sampling
+  // task to whichever recorder is installed on this thread.
+  std::optional<metrics::FlightRecorder> flight;
+  std::optional<metrics::ScopedFlightInstall> flight_install;
+  if (rc.want_timeseries) {
+    flight.emplace(rc.flight_config);
+    flight_install.emplace(&*flight);
+    flight->begin_run(cluster::protocol_name(protocol), seed);
   }
-  cluster::Cluster cluster(spec_from_flags(flags, seed_override));
-  faults::FaultInjector injector(
-      cluster, chaos_seed.value_or(static_cast<std::uint64_t>(
-                   flags.get_int("chaos-seed").value_or(1))));
+  if (trace::active()) {
+    trace::recorder()->begin_run(cluster::protocol_name(protocol));
+  }
+  cluster::Cluster cluster(spec_from_flags(flags, seed));
+  if (trace::active()) {
+    trace::recorder()->set_time_source(
+        [&cluster] { return cluster.sim().now(); });
+  }
+  faults::FaultInjector injector(cluster, chaos_seed);
   if (const auto throttle = flags.get_double("throttle-mbps");
       throttle && *throttle > 0) {
     cluster.throttle_cross_rack(Bandwidth::mbps(*throttle));
@@ -407,23 +400,35 @@ OpenLoopOutcome run_open_loop_once(const FlagSet& flags,
     cluster.throttle_datanode(static_cast<std::size_t>(i),
                               Bandwidth::mbps(slow_mbps));
   }
-  workload::FaultPlan plan = plan_from_flags(flags);
-  if (!plan.empty()) plan.apply(injector);
-  if (flags.has("chaos-rates")) {
-    faults::ChaosRates rates = parse_chaos_rates(flags.get("chaos-rates"));
-    if (const auto factor = fail_slow_factor_flag(flags)) {
-      rates.fail_slow_factor = *factor;
+  // --client-crash: the writer host dies mid-upload; lease recovery must
+  // close the file at its salvaged prefix.
+  if (rc.client_crash_at) injector.crash_client(0, *rc.client_crash_at);
+  // --nn-crash: the namenode dies mid-upload and recovery starts after
+  // --nn-outage — a cold restart from fsimage + edit-log tail, or a warm
+  // standby promotion under --nn-failover.
+  if (rc.nn_crash_at) {
+    const SimTime at = *rc.nn_crash_at;
+    if (flags.get_bool("nn-failover")) {
+      cluster.enable_standby();
+      injector.crash_and_failover_namenode(at, at + rc.nn_outage);
+    } else {
+      injector.crash_and_restart_namenode(at, at + rc.nn_outage);
     }
-    if (rates.nn_failover) cluster.enable_standby();
-    injector.start_chaos(rates);
   }
-  if (!quiet) {
+  if (!rc.plan.empty()) rc.plan.apply(injector);
+  if (rc.chaos) {
+    // Warm failover needs a standby tailing the log before the first crash.
+    if (rc.chaos->nn_failover) cluster.enable_standby();
+    injector.start_chaos(*rc.chaos);
+  }
+  if (!rc.quiet) {
     LogLevel log_level = LogLevel::kWarn;
     bool log_level_chosen = false;
     if (flags.get_bool("verbose")) {
       log_level = LogLevel::kInfo;
       log_level_chosen = true;
     }
+    // --log-level wins over --verbose; validated in main() before any run.
     if (const std::string level = flags.get("log-level"); !level.empty()) {
       log_level_chosen = parse_log_level(level, log_level);
     }
@@ -434,133 +439,13 @@ OpenLoopOutcome run_open_loop_once(const FlagSet& flags,
     }
   }
 
-  OpenLoopOutcome outcome;
-  workload::OpenLoopWorkload wl(protocol, open_loop_config_from_flags(flags));
-  wl.set_job_observer([&outcome](const hdfs::StreamStats& s) {
-    outcome.summary.fold(s);
-  });
-  outcome.result = wl.run(cluster);
-  outcome.events = cluster.sim().events_executed();
-  fold_cluster_counters(outcome.summary, cluster, injector);
-  // While the cluster is alive: quiescence monitors read the live registry
-  // and a firing's dump wants the pending-event summary.
-  if (metrics::flight_active()) {
-    metrics::flight_recorder()->finish_run(cluster.sim().now());
-  }
-  if (!quiet) {
-    Logger::instance().set_level(LogLevel::kWarn);
-    Logger::instance().set_time_source(nullptr);
-  }
-  return outcome;
-}
-
-RunOutcome run_once(const FlagSet& flags, cluster::Protocol protocol) {
-  // Fresh metrics per protocol run. Must happen before the cluster exists:
-  // datanodes cache registry references at construction and a later reset
-  // would dangle them.
-  metrics::global_registry().reset();
-  if (trace::active()) {
-    trace::recorder()->begin_run(cluster::protocol_name(protocol));
-  }
-  if (metrics::flight_active()) {
-    metrics::flight_recorder()->begin_run(
-        cluster::protocol_name(protocol),
-        static_cast<std::uint64_t>(flags.get_int("seed").value_or(42)));
-  }
-  cluster::Cluster cluster(spec_from_flags(flags));
-  if (trace::active()) {
-    trace::recorder()->set_time_source(
-        [&cluster] { return cluster.sim().now(); });
-  }
-  faults::FaultInjector injector(
-      cluster,
-      static_cast<std::uint64_t>(flags.get_int("chaos-seed").value_or(1)));
-
-  if (const auto throttle = flags.get_double("throttle-mbps");
-      throttle && *throttle > 0) {
-    cluster.throttle_cross_rack(Bandwidth::mbps(*throttle));
-  }
-  const auto slow_nodes = flags.get_int("slow-nodes").value_or(0);
-  const double slow_mbps = flags.get_double("slow-mbps").value_or(50);
-  for (std::int64_t i = 0; i < slow_nodes; ++i) {
-    cluster.throttle_datanode(static_cast<std::size_t>(i),
-                              Bandwidth::mbps(slow_mbps));
-  }
-  workload::FaultPlan plan = plan_from_flags(flags);
-  std::optional<SimTime> client_crash_at;
-  if (flags.has("client-crash")) {
-    // --client-crash=<seconds>: the writer host dies mid-upload; lease
-    // recovery must close the file at its salvaged prefix.
-    try {
-      client_crash_at = seconds_f(std::stod(flags.get("client-crash")));
-    } catch (const std::logic_error&) {
-      fault_flag_error("client-crash", "expected <seconds>, got " +
-                                           flags.get("client-crash"));
-    }
-    injector.crash_client(0, *client_crash_at);
-  }
-  std::optional<SimTime> nn_crash_at;
-  SimDuration nn_outage = seconds(3);
-  if (flags.has("nn-crash")) {
-    // --nn-crash=<seconds>: the namenode dies mid-upload and recovery starts
-    // after --nn-outage seconds — a cold restart from fsimage + edit-log
-    // tail, or a warm standby promotion under --nn-failover.
-    try {
-      nn_crash_at = seconds_f(std::stod(flags.get("nn-crash")));
-    } catch (const std::logic_error&) {
-      fault_flag_error("nn-crash",
-                       "expected <seconds>, got " + flags.get("nn-crash"));
-    }
-    if (const auto outage = flags.get_double("nn-outage"); outage) {
-      if (*outage <= 0) fault_flag_error("nn-outage", "must be positive");
-      nn_outage = seconds_f(*outage);
-    }
-    if (flags.get_bool("nn-failover")) {
-      cluster.enable_standby();
-      injector.crash_and_failover_namenode(*nn_crash_at,
-                                           *nn_crash_at + nn_outage);
-    } else {
-      injector.crash_and_restart_namenode(*nn_crash_at,
-                                          *nn_crash_at + nn_outage);
-    }
-  }
-  if (!plan.empty()) plan.apply(injector);
-  if (flags.has("chaos-rates")) {
-    faults::ChaosRates rates = parse_chaos_rates(flags.get("chaos-rates"));
-    if (const auto factor = fail_slow_factor_flag(flags)) {
-      rates.fail_slow_factor = *factor;
-    }
-    // Warm failover needs a standby tailing the log before the first crash.
-    if (rates.nn_failover) cluster.enable_standby();
-    injector.start_chaos(rates);
-  }
-  LogLevel log_level = LogLevel::kWarn;
-  bool log_level_chosen = false;
-  if (flags.get_bool("verbose")) {
-    log_level = LogLevel::kInfo;
-    log_level_chosen = true;
-  }
-  // --log-level wins over --verbose; validated in main() before any run.
-  if (const std::string level = flags.get("log-level"); !level.empty()) {
-    log_level_chosen = parse_log_level(level, log_level);
-  }
-  if (log_level_chosen) {
-    Logger::instance().set_level(log_level);
-    Logger::instance().set_time_source(
-        [&cluster] { return cluster.sim().now(); });
-  }
-
-  RunOutcome outcome;
-  const Bytes size =
-      static_cast<Bytes>(flags.get_double("size-gb").value_or(1.0) *
-                         static_cast<double>(kGiB));
-
+  RunDetails details;
   std::unique_ptr<sim::PeriodicTask> sampler;
   if (flags.get_bool("timeline")) {
     sampler = std::make_unique<sim::PeriodicTask>(
-        cluster.sim(), seconds(1), [&cluster, &outcome] {
+        cluster.sim(), seconds(1), [&cluster, &details] {
           const hdfs::OutputStreamBase* stream = cluster.latest_stream();
-          outcome.concurrency.record(
+          details.concurrency.record(
               cluster.sim().now(),
               stream != nullptr && !stream->finished()
                   ? static_cast<double>(stream->active_pipeline_count())
@@ -569,16 +454,28 @@ RunOutcome run_once(const FlagSet& flags, cluster::Protocol protocol) {
     sampler->start_with_delay(0);
   }
 
-  outcome.stats = cluster.run_upload("/data/cli.bin", size, protocol);
-  if (client_crash_at) {
+  if (flags.has("clients")) {
+    // Open loop. The synthetic run.stats carries the makespan and completed
+    // bytes so the sweep's seconds/throughput statistics stay meaningful.
+    workload::OpenLoopWorkload wl(protocol, open_loop_config_from_flags(flags));
+    const workload::OpenLoopResult result = wl.run(cluster);
+    run.stats.started_at = result.started_at;
+    run.stats.finished_at = result.finished_at;
+    run.stats.file_size = result.bytes_completed;
+    run.stats.failed = result.stuck > 0;
+    details.open_loop = result;
+  } else {
+    run.stats = cluster.run_upload("/data/cli.bin", rc.size, protocol);
+  }
+  if (rc.client_crash_at) {
     // The upload callback fired (success, or abort at crash time); now
     // drive the simulation until lease recovery has closed the file — it
     // must never stay under-construction past the hard limit plus the
     // recovery retry budget.
     const hdfs::HdfsConfig& cfg = cluster.config();
     sim::Simulation& sim = cluster.sim();
-    if (sim.now() <= *client_crash_at) {
-      sim.run_until(*client_crash_at + milliseconds(1));
+    if (sim.now() <= *rc.client_crash_at) {
+      sim.run_until(*rc.client_crash_at + milliseconds(1));
     }
     const SimTime deadline =
         sim.now() + cfg.lease_hard_limit + cfg.lease_monitor_interval +
@@ -599,13 +496,13 @@ RunOutcome run_once(const FlagSet& flags, cluster::Protocol protocol) {
       std::exit(1);
     }
   }
-  if (nn_crash_at) {
+  if (rc.nn_crash_at) {
     // Let the scheduled outage and recovery land even when the upload beat
     // the crash: the robustness counters and --editlog-out should reflect
     // the whole timeline, and a recovery that never completes is a bug
     // worth failing on, not silently truncating.
     sim::Simulation& sim = cluster.sim();
-    const SimTime recovery_start = *nn_crash_at + nn_outage;
+    const SimTime recovery_start = *rc.nn_crash_at + rc.nn_outage;
     if (sim.now() <= recovery_start) {
       sim.run_until(recovery_start + milliseconds(1));
     }
@@ -619,12 +516,12 @@ RunOutcome run_once(const FlagSet& flags, cluster::Protocol protocol) {
       std::exit(1);
     }
   }
-  if (flags.get_bool("read-back") && !outcome.stats.failed) {
+  if (flags.get_bool("read-back") && !run.stats.failed) {
     // Let every scheduled rot land before reading: a --bitrot past the
     // upload's end would otherwise never fire (the simulation stops when
     // the last requested operation completes).
     SimTime last_rot = 0;
-    for (const workload::FaultPlan::Bitrot& b : plan.bitrots) {
+    for (const workload::FaultPlan::Bitrot& b : rc.plan.bitrots) {
       last_rot = std::max(last_rot, b.at);
     }
     if (cluster.sim().now() <= last_rot) {
@@ -632,176 +529,51 @@ RunOutcome run_once(const FlagSet& flags, cluster::Protocol protocol) {
     }
     // Read the file back through the checksum-verifying stream; rotted
     // replicas fail over and get reported to the namenode.
-    outcome.read = cluster.run_download("/data/cli.bin");
+    details.read = cluster.run_download("/data/cli.bin");
   }
-  outcome.events = cluster.sim().events_executed();
-  outcome.summary.fold(outcome.stats);
-  if (outcome.read) outcome.summary.fold_read(*outcome.read);
-  fold_cluster_counters(outcome.summary, cluster, injector);
+  run.events = cluster.sim().events_executed();
   if (flags.has("editlog-out")) {
-    outcome.editlog_json = cluster.edit_log().to_json();
+    details.editlog_json = cluster.edit_log().to_json();
   }
   // While the cluster is alive: quiescence monitors read the live registry
   // and a firing's dump wants the pending-event summary.
-  if (metrics::flight_active()) {
-    metrics::flight_recorder()->finish_run(cluster.sim().now());
+  if (flight) {
+    flight->finish_run(cluster.sim().now());
+    run.timeseries = rc.timeseries_csv ? flight->csv_rows(0)
+                                       : flight->run_json(0);
   }
   if (sampler) sampler->stop();
-  Logger::instance().set_level(LogLevel::kWarn);
-  Logger::instance().set_time_source(nullptr);
+  cluster.update_flight_gauges();
+  run.registry = metrics::global_registry();
+  if (!rc.quiet) {
+    Logger::instance().set_level(LogLevel::kWarn);
+    Logger::instance().set_time_source(nullptr);
+  }
   // The recorder outlives this cluster; its clock must not.
   if (trace::active()) trace::recorder()->set_time_source(nullptr);
-  return outcome;
+  return details;
 }
 
-/// --sweep-seeds mode: N independent worlds per protocol, one per seed,
-/// spread over --jobs worker threads. Share-nothing: each worker resets its
-/// thread-local metrics registry and builds its own cluster, so every
-/// per-seed result is identical to running that seed alone and the merged
-/// report is independent of thread scheduling.
-int run_sweeps(const FlagSet& flags,
-               const std::vector<cluster::Protocol>& protocols) {
-  const int seeds = static_cast<int>(flags.get_int("sweep-seeds").value_or(0));
-  const int jobs = static_cast<int>(flags.get_int("jobs").value_or(0));
-  const auto base_seed =
-      static_cast<std::uint64_t>(flags.get_int("seed").value_or(42));
-  const auto chaos_base =
-      static_cast<std::uint64_t>(flags.get_int("chaos-seed").value_or(1));
-  const Bytes size =
-      static_cast<Bytes>(flags.get_double("size-gb").value_or(1.0) *
-                         static_cast<double>(kGiB));
-  // Parse the shared fault plan once so a malformed flag fails fast, before
-  // any thread spawns.
-  const workload::FaultPlan plan = plan_from_flags(flags);
-  const bool open_loop = flags.has("clients");
-  // Under the overload model, shed/timed-out jobs are the measured outcome,
-  // not a harness error — same exemption injected faults get.
-  const bool overload_model = flags.get_bool("nn-service-model") ||
-                              flags.get_bool("nn-admission-control");
-  const bool faults_active = flags.has("chaos-rates") || !plan.empty() ||
-                             (open_loop && overload_model);
-  const bool want_summary = flags.get_bool("fault-summary") || faults_active;
-  // Flight recorder: one per worker (thread_local install), fragments merged
-  // in seed order below so the export is independent of thread scheduling.
-  const std::string timeseries_out = flags.get("timeseries-out");
-  const bool want_timeseries = !timeseries_out.empty();
-  const bool timeseries_csv = ends_with(timeseries_out, ".csv");
-  metrics::FlightRecorderConfig flight_config;
-  flight_config.sample_interval = sample_interval_flag(flags);
+/// The one exit rule: a run that threw is an error, and so is a failed or
+/// stuck operation when no injected fault or overload model explains it.
+bool run_ok(const harness::SeedRun& run, bool faults_active) {
+  if (run.errored) return false;
+  return faults_active ||
+         (!run.stats.failed &&
+          run.registry.counter_value("client.uploads_failed") == 0 &&
+          run.registry.counter_value("client.reads_failed") == 0);
+}
 
-  int exit_code = 0;
-  std::vector<double> mean_by_protocol;
-  std::vector<std::string> timeseries_fragments;
-  for (const cluster::Protocol protocol : protocols) {
-    const harness::SweepSummary sweep = harness::run_seed_sweep(
-        base_seed, seeds, jobs,
-        [&](std::uint64_t seed, harness::SeedRun& run) {
-          std::optional<metrics::FlightRecorder> flight;
-          std::optional<metrics::ScopedFlightInstall> flight_install;
-          if (want_timeseries) {
-            flight.emplace(flight_config);
-            flight_install.emplace(&*flight);
-          }
-          if (open_loop) {
-            // Per-job stats fold through the observer; the synthetic
-            // run.stats carries the makespan and completed bytes so the
-            // sweep's seconds/throughput statistics stay meaningful.
-            OpenLoopOutcome out = run_open_loop_once(
-                flags, protocol, /*quiet=*/true, seed,
-                chaos_base + (seed - base_seed));
-            run.summary = std::move(out.summary);
-            run.events = out.events;
-            run.stats.started_at = out.result.started_at;
-            run.stats.finished_at = out.result.finished_at;
-            run.stats.file_size = out.result.bytes_completed;
-            run.stats.failed = out.result.stuck > 0;
-            if (flight) {
-              run.timeseries =
-                  timeseries_csv ? flight->csv_rows(0) : flight->run_json(0);
-            }
-            return;
-          }
-          metrics::global_registry().reset();
-          if (flight) {
-            flight->begin_run(cluster::protocol_name(protocol), seed);
-          }
-          cluster::Cluster cluster(spec_from_flags(flags, seed));
-          faults::FaultInjector injector(cluster,
-                                         chaos_base + (seed - base_seed));
-          if (const auto throttle = flags.get_double("throttle-mbps");
-              throttle && *throttle > 0) {
-            cluster.throttle_cross_rack(Bandwidth::mbps(*throttle));
-          }
-          const auto slow_nodes = flags.get_int("slow-nodes").value_or(0);
-          const double slow_mbps = flags.get_double("slow-mbps").value_or(50);
-          for (std::int64_t i = 0; i < slow_nodes; ++i) {
-            cluster.throttle_datanode(static_cast<std::size_t>(i),
-                                      Bandwidth::mbps(slow_mbps));
-          }
-          if (!plan.empty()) plan.apply(injector);
-          if (flags.has("chaos-rates")) {
-            faults::ChaosRates rates =
-                parse_chaos_rates(flags.get("chaos-rates"));
-            if (const auto factor = fail_slow_factor_flag(flags)) {
-              rates.fail_slow_factor = *factor;
-            }
-            if (rates.nn_failover) cluster.enable_standby();
-            injector.start_chaos(rates);
-          }
-          run.stats = cluster.run_upload("/data/sweep.bin", size, protocol);
-          run.events = cluster.sim().events_executed();
-          run.summary.fold(run.stats);
-          fold_cluster_counters(run.summary, cluster, injector);
-          if (flight) {
-            flight->finish_run(cluster.sim().now());
-            run.timeseries =
-                timeseries_csv ? flight->csv_rows(0) : flight->run_json(0);
-          }
-        });
-    if (want_timeseries) {
-      for (const harness::SeedRun& run : sweep.runs) {
-        if (!run.timeseries.empty()) {
-          timeseries_fragments.push_back(run.timeseries);
-        }
-      }
-    }
-    std::printf("%s sweep, %d seeds from %llu:\n%s",
-                cluster::protocol_name(protocol), seeds,
-                static_cast<unsigned long long>(base_seed),
-                harness::render_sweep(sweep).c_str());
-    if (want_summary) {
-      std::printf("%s merged robustness:\n%s",
-                  cluster::protocol_name(protocol),
-                  metrics::render_fault_summary(sweep.merged).c_str());
-    }
-    mean_by_protocol.push_back(sweep.mean_seconds);
-    if (sweep.errored > 0) exit_code = 1;
-    if (!faults_active && sweep.merged.failed_uploads > 0) exit_code = 1;
+/// Joins per-protocol export bodies into one JSON object keyed by protocol.
+std::string json_by_protocol(
+    const std::vector<std::pair<std::string, std::string>>& bodies) {
+  std::string out = "{";
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    if (i > 0) out += ",";
+    out += "\"" + bodies[i].first + "\":" + bodies[i].second;
   }
-  if (mean_by_protocol.size() == 2 && mean_by_protocol[1] > 0) {
-    std::printf("mean improvement: %.1f%%\n",
-                (mean_by_protocol[0] / mean_by_protocol[1] - 1.0) * 100.0);
-  }
-  if (want_timeseries) {
-    // Assemble a to_json()/to_csv()-shaped document from the per-worker
-    // fragments; the envelope comes from a recorder with the same config.
-    const metrics::FlightRecorder envelope(flight_config);
-    std::string out;
-    if (timeseries_csv) {
-      out = envelope.csv_header();
-      for (const std::string& fragment : timeseries_fragments) out += fragment;
-    } else {
-      out = "{" + envelope.header_json() + ",\"runs\":[\n";
-      for (std::size_t i = 0; i < timeseries_fragments.size(); ++i) {
-        if (i > 0) out += ",\n";
-        out += timeseries_fragments[i];
-      }
-      out += "\n]}\n";
-    }
-    write_file_or_die(timeseries_out, out);
-    std::fprintf(stderr, "time series written to %s\n", timeseries_out.c_str());
-  }
-  return exit_code;
+  out += "}\n";
+  return out;
 }
 
 }  // namespace
@@ -945,61 +717,26 @@ int main(int argc, char** argv) {
                                       flags.get("clients"));
     }
   }
-  if (flags.has("arrival-rate")) {
+  for (const std::string name :
+       {"arrival-rate", "zipf-s", "open-loop-duration"}) {
+    if (!flags.has(name)) continue;
     if (!open_loop) {
-      fault_flag_error("arrival-rate", "requires --clients (open-loop mode)");
+      fault_flag_error(name, "requires --clients (open-loop mode)");
     }
-    const auto rate = flags.get_double("arrival-rate");
-    if (!rate || *rate <= 0) {
-      fault_flag_error("arrival-rate", "must be a positive number, got " +
-                                           flags.get("arrival-rate"));
-    }
-  }
-  if (flags.has("zipf-s")) {
-    if (!open_loop) {
-      fault_flag_error("zipf-s", "requires --clients (open-loop mode)");
-    }
-    const auto zipf = flags.get_double("zipf-s");
-    if (!zipf || *zipf <= 0) {
-      fault_flag_error("zipf-s", "must be a positive number, got " +
-                                     flags.get("zipf-s"));
-    }
-  }
-  if (flags.has("open-loop-duration")) {
-    if (!open_loop) {
-      fault_flag_error("open-loop-duration",
-                       "requires --clients (open-loop mode)");
-    }
-    const auto duration = flags.get_double("open-loop-duration");
-    if (!duration || *duration <= 0) {
-      fault_flag_error("open-loop-duration",
-                       "must be a positive number of seconds, got " +
-                           flags.get("open-loop-duration"));
+    const auto value = flags.get_double(name);
+    if (!value || *value <= 0) {
+      fault_flag_error(name, std::string("must be a positive number") +
+                                 (name == "open-loop-duration" ? " of seconds"
+                                                               : "") +
+                                 ", got " + flags.get(name));
     }
   }
   const std::string trace_out = flags.get("trace-out");
   const std::string metrics_out = flags.get("metrics-out");
-  const bool want_straggler = flags.get_bool("straggler-report");
-  trace::TraceRecorder recorder;
-  if (!trace_out.empty() || want_straggler) trace::install(&recorder);
-
-  // Flight recorder: validate the cadence eagerly (a bad --sample-interval
-  // exits 2 even without --timeseries-out), install only when requested —
-  // a null recorder schedules nothing and costs nothing. Sweep workers
-  // install their own thread_local recorders inside run_sweeps.
+  const std::string editlog_out = flags.get("editlog-out");
   const std::string timeseries_out = flags.get("timeseries-out");
-  metrics::FlightRecorderConfig flight_config;
-  flight_config.sample_interval = sample_interval_flag(flags);
-  metrics::FlightRecorder flight(flight_config);
-  if (!timeseries_out.empty()) metrics::install_flight_recorder(&flight);
-  const auto write_timeseries = [&flight, &timeseries_out] {
-    if (timeseries_out.empty()) return;
-    write_file_or_die(timeseries_out, ends_with(timeseries_out, ".csv")
-                                          ? flight.to_csv()
-                                          : flight.to_json());
-    std::fprintf(stderr, "time series written to %s\n",
-                 timeseries_out.c_str());
-  };
+  const bool want_straggler = flags.get_bool("straggler-report");
+  const bool timeline = flags.get_bool("timeline");
 
   const std::string protocol_choice = flags.get("protocol");
   std::vector<cluster::Protocol> protocols;
@@ -1009,17 +746,23 @@ int main(int argc, char** argv) {
   if (protocol_choice == "smarth" || protocol_choice == "both") {
     protocols.push_back(cluster::Protocol::kSmarth);
   }
+  // The flight-recorder cadence fails eagerly too (a bad --sample-interval
+  // exits 2 even without --timeseries-out).
+  RunConfig rc(flags);
+  rc.flight_config.sample_interval = sample_interval_flag(flags);
   if (protocols.empty()) {
     std::fprintf(stderr, "unknown --protocol=%s\n", protocol_choice.c_str());
     return 2;
   }
 
-  if (flags.get_int("sweep-seeds").value_or(0) > 0) {
+  const int seeds = static_cast<int>(flags.get_int("sweep-seeds").value_or(0));
+  const bool sweep_mode = seeds > 0;
+  if (sweep_mode) {
     // Sweep mode merges N share-nothing runs; the single-run observability
     // attachments (trace, per-run metrics export, timelines, client-crash
     // drive loop, read-back) are per-world and do not compose across it.
     if (!trace_out.empty() || !metrics_out.empty() || want_straggler ||
-        flags.get_bool("timeline") || flags.get_bool("read-back") ||
+        timeline || flags.get_bool("read-back") ||
         flags.has("client-crash") || flags.has("nn-crash") ||
         flags.has("editlog-out")) {
       std::fprintf(stderr,
@@ -1029,190 +772,222 @@ int main(int argc, char** argv) {
                    "--editlog-out\n");
       return 2;
     }
-    return run_sweeps(flags, protocols);
-  }
-
-  if (open_loop) {
+  } else if (open_loop) {
     // The open-loop workload replaces the single upload; the single-upload
     // observability attachments don't describe it.
     if (flags.get_bool("read-back") || flags.has("client-crash") ||
-        flags.has("nn-crash") || flags.get_bool("timeline") ||
-        flags.has("editlog-out") || want_straggler || !trace_out.empty()) {
+        flags.has("nn-crash") || timeline || flags.has("editlog-out") ||
+        want_straggler || !trace_out.empty()) {
       std::fprintf(stderr,
                    "--clients (open-loop mode) does not combine with "
                    "--read-back, --client-crash, --nn-crash, --timeline, "
                    "--editlog-out, --straggler-report or --trace-out\n");
       return 2;
     }
-    const bool overload_model = flags.get_bool("nn-service-model") ||
-                                flags.get_bool("nn-admission-control");
-    const bool ol_faults = flags.has("chaos-rates") || flags.has("crash") ||
-                           flags.has("fail-slow") || flags.has("flap") ||
-                           flags.has("bitrot") || overload_model;
-    const bool ol_summary = flags.get_bool("fault-summary") || ol_faults;
-    TextTable table({"protocol", "jobs", "completed", "failed", "stuck",
-                     "goodput (MiB/s)", "p50 (s)", "p95 (s)", "p99 (s)",
-                     "events"});
-    std::vector<std::pair<std::string, std::string>> metric_snapshots;
-    int exit_code = 0;
-    for (const cluster::Protocol protocol : protocols) {
-      const OpenLoopOutcome outcome =
-          run_open_loop_once(flags, protocol, /*quiet=*/false);
-      if (!metrics_out.empty()) {
-        const std::string name = cluster::protocol_name(protocol);
-        metric_snapshots.emplace_back(
-            name, ends_with(metrics_out, ".csv")
-                      ? metrics::global_registry().to_csv(name)
-                      : metrics::global_registry().to_json());
+  }
+
+  rc.plan = plan_from_flags(flags);
+  rc.client_crash_at = fault_time_flag(flags, "client-crash");
+  rc.nn_crash_at = fault_time_flag(flags, "nn-crash");
+  if (rc.nn_crash_at) {
+    if (const auto outage = flags.get_double("nn-outage"); outage) {
+      if (*outage <= 0) fault_flag_error("nn-outage", "must be positive");
+      rc.nn_outage = seconds_f(*outage);
+    }
+  }
+  if (flags.has("chaos-rates")) {
+    rc.chaos = parse_chaos_rates(flags.get("chaos-rates"));
+    if (const auto factor = fail_slow_factor_flag(flags)) {
+      rc.chaos->fail_slow_factor = *factor;
+    }
+  }
+  rc.size = static_cast<Bytes>(flags.get_double("size-gb").value_or(1.0) *
+                               static_cast<double>(kGiB));
+  rc.want_timeseries = !timeseries_out.empty();
+  rc.timeseries_csv = ends_with(timeseries_out, ".csv");
+  rc.quiet = sweep_mode;
+
+  // Under injected faults (or, open loop, an overload model) a failed or
+  // stuck operation is a legitimate outcome worth reporting; without them
+  // it is an error.
+  const bool overload_model = flags.get_bool("nn-service-model") ||
+                              flags.get_bool("nn-admission-control");
+  const bool faults_active =
+      flags.has("chaos-rates") || flags.has("crash") ||
+      flags.has("fail-slow") || flags.has("flap") || flags.has("bitrot") ||
+      flags.has("client-crash") || flags.has("nn-crash") ||
+      (open_loop && overload_model);
+  const bool want_summary = flags.get_bool("fault-summary") || faults_active;
+
+  trace::TraceRecorder recorder;
+  if (!trace_out.empty() || want_straggler) trace::install(&recorder);
+
+  const auto base_seed =
+      static_cast<std::uint64_t>(flags.get_int("seed").value_or(42));
+  const auto chaos_base =
+      static_cast<std::uint64_t>(flags.get_int("chaos-seed").value_or(1));
+  const int jobs =
+      sweep_mode ? static_cast<int>(flags.get_int("jobs").value_or(0)) : 1;
+
+  TextTable table =
+      open_loop ? TextTable({"protocol", "jobs", "completed", "failed",
+                             "stuck", "goodput (MiB/s)", "p50 (s)", "p95 (s)",
+                             "p99 (s)", "events"})
+                : TextTable({"protocol", "seconds", "throughput (Mbps)",
+                             "blocks", "pipelines", "max concurrent",
+                             "recoveries", "events"});
+  int exit_code = 0;
+  std::vector<double> seconds_by_protocol;
+  std::vector<std::string> timeseries_fragments;
+  // Per-protocol registry snapshots and edit logs for the solo exports.
+  std::vector<std::pair<std::string, std::string>> metric_snapshots;
+  std::vector<std::pair<std::string, std::string>> editlog_snapshots;
+  std::string straggler_text;
+  for (const cluster::Protocol protocol : protocols) {
+    const char* name = cluster::protocol_name(protocol);
+    // A solo run is a one-seed sweep on this thread; it alone keeps the
+    // details its presentation needs.
+    RunDetails details;
+    const harness::SweepSummary sweep = harness::run_seed_sweep(
+        base_seed, sweep_mode ? seeds : 1, jobs,
+        [&](std::uint64_t seed, harness::SeedRun& run) {
+          RunDetails d = run_world(rc, protocol, seed,
+                                   chaos_base + (seed - base_seed), run);
+          if (!sweep_mode) details = std::move(d);
+        });
+    for (const harness::SeedRun& run : sweep.runs) {
+      if (!run.timeseries.empty()) {
+        timeseries_fragments.push_back(run.timeseries);
       }
-      const workload::OpenLoopResult& r = outcome.result;
-      table.add_row({cluster::protocol_name(protocol), std::to_string(r.jobs),
+      if (!run_ok(run, faults_active)) exit_code = 1;
+    }
+    seconds_by_protocol.push_back(sweep.mean_seconds);
+
+    if (sweep_mode) {
+      std::printf("%s sweep, %d seeds from %llu:\n%s", name, seeds,
+                  static_cast<unsigned long long>(base_seed),
+                  harness::render_sweep(sweep).c_str());
+      if (want_summary) {
+        std::printf("%s merged robustness:\n%s", name,
+                    metrics::render_robustness(sweep.merged).c_str());
+      }
+      continue;
+    }
+
+    const harness::SeedRun& run = sweep.runs.front();
+    if (run.errored) {
+      std::fprintf(stderr, "%s run aborted: %s\n", name, run.error.c_str());
+      continue;
+    }
+    if (!metrics_out.empty()) {
+      metric_snapshots.emplace_back(name, ends_with(metrics_out, ".csv")
+                                              ? run.registry.to_csv(name)
+                                              : run.registry.to_json());
+    }
+    if (!editlog_out.empty()) {
+      editlog_snapshots.emplace_back(name, details.editlog_json);
+    }
+    if (want_straggler) {
+      straggler_text += std::string(name) + " straggler attribution:\n" +
+                        trace::straggler_report(recorder,
+                                                recorder.current_run())
+                            .text;
+    }
+    if (open_loop) {
+      const workload::OpenLoopResult& r = *details.open_loop;
+      table.add_row({name, std::to_string(r.jobs),
                      std::to_string(r.completed), std::to_string(r.failed),
                      std::to_string(r.stuck),
                      TextTable::num(r.goodput_mibps(), 1),
                      TextTable::num(r.latency_quantile(0.50)),
                      TextTable::num(r.latency_quantile(0.95)),
                      TextTable::num(r.latency_quantile(0.99)),
-                     std::to_string(outcome.events)});
-      if (ol_summary) {
-        std::printf("%s robustness:\n%s", cluster::protocol_name(protocol),
-                    metrics::render_fault_summary(outcome.summary).c_str());
+                     std::to_string(run.events)});
+      if (!faults_active && (r.stuck > 0 || r.failed > 0)) {
+        std::fprintf(stderr,
+                     "%s open-loop run left %d stuck / %d failed jobs with "
+                     "no faults active\n",
+                     name, r.stuck, r.failed);
       }
-      // Without faults or an overload model, every offered job must finish
-      // cleanly; a stuck or failed job is a harness error, not a result.
-      if (!ol_faults && (r.stuck > 0 || r.failed > 0)) {
-        std::fprintf(stderr, "%s open-loop run left %d stuck / %d failed "
-                             "jobs with no faults active\n",
-                     cluster::protocol_name(protocol), r.stuck, r.failed);
-        exit_code = 1;
+    } else {
+      if (run.stats.failed) {
+        std::fprintf(stderr, "%s upload failed: %s\n", name,
+                     run.stats.failure_reason.c_str());
       }
-    }
-    std::printf("%s", table.to_string().c_str());
-    if (!metrics_out.empty()) {
-      std::string out;
-      if (ends_with(metrics_out, ".csv")) {
-        out = "protocol,kind,name,count,value,mean,p50,p95,p99,min,max\n";
-        for (const auto& [name, body] : metric_snapshots) out += body;
-      } else {
-        out = "{";
-        for (std::size_t i = 0; i < metric_snapshots.size(); ++i) {
-          if (i > 0) out += ",";
-          out += "\"" + metric_snapshots[i].first +
-                 "\":" + metric_snapshots[i].second;
-        }
-        out += "}\n";
+      if (details.read && details.read->failed) {
+        std::fprintf(stderr, "%s read-back failed: %s\n", name,
+                     details.read->failure_reason.c_str());
       }
-      write_file_or_die(metrics_out, out);
-      std::fprintf(stderr, "metrics written to %s\n", metrics_out.c_str());
-    }
-    write_timeseries();
-    return exit_code;
-  }
-
-  // Under injected faults a failed upload is a legitimate outcome worth
-  // reporting (clean failure, not a hang); without faults it is an error.
-  const bool faults_active = flags.has("chaos-rates") || flags.has("crash") ||
-                             flags.has("fail-slow") || flags.has("flap") ||
-                             flags.has("client-crash") ||
-                             flags.has("nn-crash") || flags.has("bitrot");
-  const bool want_summary = flags.get_bool("fault-summary") || faults_active;
-
-  TextTable table({"protocol", "seconds", "throughput (Mbps)", "blocks",
-                   "pipelines", "max concurrent", "recoveries", "events"});
-  std::vector<double> seconds_by_protocol;
-  // Per-protocol registry snapshots, captured before the next run resets the
-  // registry.
-  std::vector<std::pair<std::string, std::string>> metric_snapshots;
-  std::vector<std::pair<std::string, std::string>> editlog_snapshots;
-  std::string straggler_text;
-  for (const cluster::Protocol protocol : protocols) {
-    const RunOutcome outcome = run_once(flags, protocol);
-    if (flags.has("editlog-out")) {
-      editlog_snapshots.emplace_back(cluster::protocol_name(protocol),
-                                     outcome.editlog_json);
-    }
-    if (!metrics_out.empty()) {
-      const std::string name = cluster::protocol_name(protocol);
-      metric_snapshots.emplace_back(
-          name, ends_with(metrics_out, ".csv")
-                    ? metrics::global_registry().to_csv(name)
-                    : metrics::global_registry().to_json());
-    }
-    if (want_straggler) {
-      const trace::StragglerReport report =
-          trace::straggler_report(recorder, recorder.current_run());
-      straggler_text += std::string(cluster::protocol_name(protocol)) +
-                        " straggler attribution:\n" + report.text;
-    }
-    if (outcome.stats.failed) {
-      std::fprintf(stderr, "%s upload failed: %s\n",
-                   cluster::protocol_name(protocol),
-                   outcome.stats.failure_reason.c_str());
-      if (!faults_active) return 1;
-    }
-    if (outcome.read && outcome.read->failed) {
-      std::fprintf(stderr, "%s read-back failed: %s\n",
-                   cluster::protocol_name(protocol),
-                   outcome.read->failure_reason.c_str());
-      if (!faults_active) return 1;
-    }
-    seconds_by_protocol.push_back(to_seconds(outcome.stats.elapsed()));
-    table.add_row({cluster::protocol_name(protocol),
-                   TextTable::num(to_seconds(outcome.stats.elapsed())),
-                   TextTable::num(outcome.stats.throughput().mbps(), 1),
-                   std::to_string(outcome.stats.blocks),
-                   std::to_string(outcome.stats.pipelines_created),
-                   std::to_string(outcome.stats.max_concurrent_pipelines),
-                   std::to_string(outcome.stats.recoveries),
-                   std::to_string(outcome.events)});
-    if (flags.get_bool("timeline") && !outcome.concurrency.empty()) {
-      std::printf("%s\n", outcome.concurrency.render_ascii().c_str());
+      table.add_row({name, TextTable::num(to_seconds(run.stats.elapsed())),
+                     TextTable::num(run.stats.throughput().mbps(), 1),
+                     std::to_string(run.stats.blocks),
+                     std::to_string(run.stats.pipelines_created),
+                     std::to_string(run.stats.max_concurrent_pipelines),
+                     std::to_string(run.stats.recoveries),
+                     std::to_string(run.events)});
+      if (timeline && !details.concurrency.empty()) {
+        std::printf("%s\n", details.concurrency.render_ascii().c_str());
+      }
     }
     if (want_summary) {
-      std::printf("%s robustness:\n%s", cluster::protocol_name(protocol),
-                  metrics::render_fault_summary(outcome.summary).c_str());
+      std::printf("%s robustness:\n%s", name,
+                  metrics::render_robustness(run.registry).c_str());
     }
   }
-  if (!straggler_text.empty()) std::printf("%s", straggler_text.c_str());
+
+  if (sweep_mode) {
+    if (seconds_by_protocol.size() == 2 && seconds_by_protocol[1] > 0) {
+      std::printf("mean improvement: %.1f%%\n",
+                  (seconds_by_protocol[0] / seconds_by_protocol[1] - 1.0) *
+                      100.0);
+    }
+  } else {
+    std::printf("%s%s", straggler_text.c_str(), table.to_string().c_str());
+    if (!open_loop && seconds_by_protocol.size() == 2) {
+      std::printf("improvement: %.1f%%\n",
+                  (seconds_by_protocol[0] / seconds_by_protocol[1] - 1.0) *
+                      100.0);
+    }
+  }
+
   if (!trace_out.empty()) {
     write_file_or_die(trace_out, trace::to_chrome_trace_json(recorder));
     std::fprintf(stderr, "trace written to %s\n", trace_out.c_str());
   }
-  write_timeseries();
+  if (rc.want_timeseries) {
+    // A to_json()/to_csv()-shaped document from the per-run fragments; the
+    // envelope comes from a recorder with the same config.
+    const metrics::FlightRecorder envelope(rc.flight_config);
+    std::string out;
+    if (rc.timeseries_csv) {
+      out = envelope.csv_header();
+      for (const std::string& fragment : timeseries_fragments) out += fragment;
+    } else {
+      out = "{" + envelope.header_json() + ",\"runs\":[\n";
+      for (std::size_t i = 0; i < timeseries_fragments.size(); ++i) {
+        if (i > 0) out += ",\n";
+        out += timeseries_fragments[i];
+      }
+      out += "\n]}\n";
+    }
+    write_file_or_die(timeseries_out, out);
+    std::fprintf(stderr, "time series written to %s\n",
+                 timeseries_out.c_str());
+  }
   if (!metrics_out.empty()) {
     std::string out;
     if (ends_with(metrics_out, ".csv")) {
       out = "protocol,kind,name,count,value,mean,p50,p95,p99,min,max\n";
       for (const auto& [name, body] : metric_snapshots) out += body;
     } else {
-      out = "{";
-      for (std::size_t i = 0; i < metric_snapshots.size(); ++i) {
-        if (i > 0) out += ",";
-        out += "\"" + metric_snapshots[i].first +
-               "\":" + metric_snapshots[i].second;
-      }
-      out += "}\n";
+      out = json_by_protocol(metric_snapshots);
     }
     write_file_or_die(metrics_out, out);
     std::fprintf(stderr, "metrics written to %s\n", metrics_out.c_str());
   }
-  if (const std::string editlog_out = flags.get("editlog-out");
-      !editlog_out.empty()) {
-    std::string out = "{";
-    for (std::size_t i = 0; i < editlog_snapshots.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "\"" + editlog_snapshots[i].first +
-             "\":" + editlog_snapshots[i].second;
-    }
-    out += "}\n";
-    write_file_or_die(editlog_out, out);
+  if (!editlog_out.empty()) {
+    write_file_or_die(editlog_out, json_by_protocol(editlog_snapshots));
     std::fprintf(stderr, "edit log written to %s\n", editlog_out.c_str());
   }
-  std::printf("%s", table.to_string().c_str());
-  if (seconds_by_protocol.size() == 2) {
-    std::printf("improvement: %.1f%%\n",
-                (seconds_by_protocol[0] / seconds_by_protocol[1] - 1.0) *
-                    100.0);
-  }
-  return 0;
+  return exit_code;
 }

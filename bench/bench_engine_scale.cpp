@@ -50,7 +50,9 @@ SimDuration churn_delay(std::uint64_t n) {
 struct CoreRate {
   std::uint64_t events = 0;
   double wall_s = 0;
-  double events_per_sec() const { return wall_s > 0 ? events / wall_s : 0; }
+  double events_per_sec() const {
+    return wall_s > 0 ? static_cast<double>(events) / wall_s : 0;
+  }
 };
 
 CoreRate churn_calendar() {
@@ -93,7 +95,9 @@ struct ScalePoint {
   double wall_s = 0;
   double sim_s = 0;
 
-  double events_per_sec() const { return wall_s > 0 ? events / wall_s : 0; }
+  double events_per_sec() const {
+    return wall_s > 0 ? static_cast<double>(events) / wall_s : 0;
+  }
   double wall_per_sim_hour() const {
     return sim_s > 0 ? wall_s / sim_s * 3600.0 : 0;
   }

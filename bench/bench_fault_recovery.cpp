@@ -91,11 +91,8 @@ SalvageResult run_writer_crash(cluster::Protocol protocol,
   std::optional<hdfs::StreamStats> stats;
   cluster.upload("/f", file_size, protocol,
                  [&stats](const hdfs::StreamStats& s) { stats = s; });
-  const SimDuration budget =
-      spec.hdfs.lease_hard_limit + spec.hdfs.lease_monitor_interval +
-      spec.hdfs.lease_recovery_retry_interval *
-          (spec.hdfs.lease_recovery_max_attempts + 1);
-  const SimTime deadline = crash_at + budget + seconds(30);
+  const SimTime deadline =
+      crash_at + hdfs::worst_case_lease_recovery(spec.hdfs) + seconds(30);
   SalvageResult result;
   while (cluster.sim().now() < deadline) {
     const hdfs::FileEntry* entry = cluster.namenode().file_by_path("/f");

@@ -21,7 +21,7 @@ model::CostParams derive_params(const cluster::ClusterSpec& spec,
   const auto& profile = spec.datanodes[0].profile;
   p.t_w = profile.disk_op_overhead +
           profile.disk_write.transmit_time(p.packet_size) +
-          spec.hdfs.checksum_verify_time;
+          hdfs::kChecksumVerifyTime;
   p.t_n = milliseconds(2);
   const Bandwidth nic = profile.network;
   const Bandwidth cross =

@@ -9,6 +9,18 @@
 
 namespace smarth::cluster {
 
+namespace {
+/// How long a datanode implicated in a failure stays client-quarantined
+/// (deprioritized for new pipelines and replacements).
+constexpr SimDuration kQuarantineDuration = seconds(60);
+/// Process bounce time of a cold namenode restart (exec + image load),
+/// before replay cost is added.
+constexpr SimDuration kNnRestartProcessDelay = seconds(1);
+/// Promotion time of a warm standby (already caught up to its tail lag),
+/// before replay cost is added. Strictly smaller than a cold restart.
+constexpr SimDuration kNnFailoverDelay = milliseconds(500);
+}  // namespace
+
 const char* protocol_name(Protocol protocol) {
   return protocol == Protocol::kHdfs ? "HDFS" : "SMARTH";
 }
@@ -22,7 +34,7 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
     spec_.hdfs.block_transfer_unit = model::coalesced_transfer_unit(
         spec_.hdfs.block_size, spec_.hdfs.packet_payload,
         spec_.hdfs.replication, spec_.hdfs.block_fidelity_tolerance,
-        spec_.hdfs.max_outstanding_packets);
+        hdfs::kMaxOutstandingPackets);
   }
   sim_ = std::make_unique<sim::Simulation>(spec_.seed);
   network_ = std::make_unique<net::Network>(*sim_, spec_.network);
@@ -62,7 +74,6 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
     qc.cost_add_block = spec_.hdfs.nn_cost_add_block;
     qc.queue_capacity = spec_.hdfs.nn_queue_capacity;
     qc.heartbeat_batch_max = spec_.hdfs.nn_heartbeat_batch_max;
-    qc.batch_marginal_cost = spec_.hdfs.nn_batch_marginal_cost;
     qc.per_tenant_addblock_cap = spec_.hdfs.nn_client_addblock_cap;
     nn_service_queue_ = std::make_unique<rpc::ServiceQueue>(*sim_, qc);
     rpc_->set_service_queue(nn_node, nn_service_queue_.get());
@@ -175,8 +186,8 @@ std::size_t Cluster::add_client(const std::string& rack,
   ClientRuntime runtime;
   runtime.node = node;
   runtime.tracker = std::make_unique<core::SpeedTracker>();
-  runtime.quarantine = std::make_unique<hdfs::QuarantineList>(
-      *sim_, spec_.hdfs.quarantine_duration);
+  runtime.quarantine =
+      std::make_unique<hdfs::QuarantineList>(*sim_, kQuarantineDuration);
   runtime.dfs = std::make_unique<hdfs::DfsClient>(
       *sim_, *rpc_, *namenode_, spec_.hdfs, client_ids_.next(), node);
   core::SpeedTracker* tracker = runtime.tracker.get();
@@ -330,8 +341,8 @@ void Cluster::restart_namenode() {
   const hdfs::NamenodeImage image = checkpointer_->latest();
   std::vector<hdfs::EditOp> tail = edit_log_->tail(image.last_txid);
   const SimDuration delay =
-      spec_.hdfs.nn_restart_process_delay +
-      spec_.hdfs.edit_replay_op_cost * static_cast<std::int64_t>(tail.size());
+      kNnRestartProcessDelay + spec_.hdfs.edit_replay_op_cost *
+                                   static_cast<std::int64_t>(tail.size());
   sim_->schedule_after(delay, "nn-restart", [this, image,
                                              tail = std::move(tail)] {
     complete_namenode_recovery(image, tail, /*failover=*/false);
@@ -349,8 +360,8 @@ void Cluster::failover_namenode() {
   const hdfs::NamenodeImage image = standby_->image();
   std::vector<hdfs::EditOp> tail = edit_log_->tail(image.last_txid);
   const SimDuration delay =
-      spec_.hdfs.nn_failover_delay +
-      spec_.hdfs.edit_replay_op_cost * static_cast<std::int64_t>(tail.size());
+      kNnFailoverDelay + spec_.hdfs.edit_replay_op_cost *
+                             static_cast<std::int64_t>(tail.size());
   sim_->schedule_after(delay, "nn-failover", [this, image,
                                               tail = std::move(tail)] {
     complete_namenode_recovery(image, tail, /*failover=*/true);

@@ -100,9 +100,9 @@ class Cluster {
   /// isolated from the fabric.
   void crash_namenode();
   /// Cold restart: boots a fresh namenode process from the latest fsimage
-  /// checkpoint plus the edit-log tail. Service resumes after
-  /// nn_restart_process_delay + edit_replay_op_cost * tail-ops, in safe mode
-  /// until enough replicas are re-reported.
+  /// checkpoint plus the edit-log tail. Service resumes after a fixed process
+  /// bounce + edit_replay_op_cost * tail-ops, in safe mode until enough
+  /// replicas are re-reported.
   void restart_namenode();
   /// Warm failover: promotes the standby (enable_standby() must have been
   /// called). Only the ops past the standby's tail position need replaying,
@@ -135,11 +135,9 @@ class Cluster {
   // --- Uploads -----------------------------------------------------------------
   using UploadCallback = std::function<void(const hdfs::StreamStats&)>;
   /// Starts an asynchronous upload (create + stream). The callback fires when
-  /// the stream closes (successfully or not); the outcome is counted as
-  /// `client.uploads` / `client.uploads_failed`. Returns a handle for live
-  /// inspection (pipeline counts, stats so far); owned by the cluster, valid
-  /// for its lifetime. May complete with nullptr stream if create() fails
-  /// before a stream exists.
+  /// the stream closes (successfully or not), also when create() fails before
+  /// any stream exists; the outcome is counted as `client.uploads` /
+  /// `client.uploads_failed`. latest_stream() exposes the live stream.
   void upload(const std::string& path, Bytes size, Protocol protocol,
               UploadCallback on_done, std::size_t client_index = 0);
   /// The most recently created output stream (nullptr before the first

@@ -9,6 +9,11 @@
 
 namespace smarth::hdfs {
 
+namespace {
+/// Cadence at which the scanner wakes and spends its accumulated budget.
+constexpr SimDuration kScannerInterval = seconds(1);
+}  // namespace
+
 BlockScanner::BlockScanner(sim::Simulation& sim, storage::DiskDevice& disk,
                            const storage::BlockStore& store,
                            const HdfsConfig& config,
@@ -20,10 +25,10 @@ void BlockScanner::start() {
   if (config_.scanner_bytes_per_second <= 0 || running_) return;
   running_ = true;
   if (!task_) {
-    task_ = std::make_unique<sim::PeriodicTask>(sim_, config_.scanner_interval,
+    task_ = std::make_unique<sim::PeriodicTask>(sim_, kScannerInterval,
                                                 [this] { tick(); });
   }
-  task_->start_with_delay(config_.scanner_interval);
+  task_->start_with_delay(kScannerInterval);
 }
 
 void BlockScanner::stop() {
@@ -40,7 +45,7 @@ void BlockScanner::tick() {
   // scanner idled by an empty store cannot later burst past its rate.
   budget_ = static_cast<Bytes>(static_cast<double>(
                                    config_.scanner_bytes_per_second) *
-                               to_seconds(config_.scanner_interval));
+                               to_seconds(kScannerInterval));
   if (!scanning_) scan_next();
 }
 

@@ -26,7 +26,7 @@ Datanode::Datanode(sim::Simulation& sim, Transport& transport,
                    const HdfsConfig& config, NodeId self, Options options)
     : sim_(sim), transport_(transport), rpc_(rpc), namenode_(namenode),
       config_(config), self_(self), options_(options),
-      store_(config.checksum_chunk_size) {
+      store_(kChecksumChunkSize) {
   disk_ = std::make_unique<storage::DiskDevice>(
       sim_, "disk@" + self.to_string(), options_.disk_write_bandwidth,
       options_.disk_op_overhead);
@@ -47,7 +47,7 @@ Datanode::~Datanode() = default;
 void Datanode::start() {
   namenode_.register_datanode(self_);
   heartbeat_ = std::make_unique<sim::PeriodicTask>(
-      sim_, config_.heartbeat_interval, [this] {
+      sim_, kHeartbeatInterval, [this] {
         if (crashed_) return;
         // Each heartbeat carries an incremental block report (finalized
         // replicas). blockReceived notifications are fire-and-forget and can
@@ -78,7 +78,7 @@ void Datanode::start() {
       });
   // Spread heartbeats so the cluster's are not phase-locked.
   const auto jitter = static_cast<SimDuration>(
-      sim_.rng().uniform_int(0, config_.heartbeat_interval - 1));
+      sim_.rng().uniform_int(0, kHeartbeatInterval - 1));
   heartbeat_->start_with_delay(jitter);
   scanner_->start();  // no-op unless a scrub budget is configured
 }
@@ -128,7 +128,7 @@ void Datanode::restart() {
   }
   if (heartbeat_) {
     const auto jitter = static_cast<SimDuration>(
-        sim_.rng().uniform_int(0, config_.heartbeat_interval - 1));
+        sim_.rng().uniform_int(0, kHeartbeatInterval - 1));
     heartbeat_->start_with_delay(jitter);
   }
   scanner_->start();
@@ -704,7 +704,7 @@ void Datanode::recover_uc_block(const UcRecoveryCommand& cmd) {
           },
           [settle](ReplicaProbeResult result) { settle(result); });
     }
-    sim_.schedule_after(config_.probe_timeout,
+    sim_.schedule_after(kProbeTimeout,
                         [settle] { settle(ReplicaProbeResult{}); });
   }
 }
@@ -792,7 +792,7 @@ void Datanode::apply_uc_sync(const std::shared_ptr<UcSync>& sync) {
           },
           [once](bool ok) { once(ok); });
     }
-    sim_.schedule_after(config_.probe_timeout, [once] { once(false); });
+    sim_.schedule_after(kProbeTimeout, [once] { once(false); });
   }
 }
 
@@ -856,7 +856,7 @@ void Datanode::transfer_replica(BlockId block, NodeId dest, Bytes length,
     const net::FlowKey flow =
         (net::FlowKey{1} << 40) + static_cast<net::FlowKey>(block.value());
     transport_.network().send(
-        self_, dest, length + config_.packet_header_wire,
+        self_, dest, length + kPacketHeaderWire,
         [this, block, dest, length, finalize_at_dest,
          done = std::move(done)]() mutable {
           Datanode* peer = peer_resolver_(dest);

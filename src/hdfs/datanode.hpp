@@ -32,6 +32,14 @@
 
 namespace smarth::hdfs {
 
+/// Granularity of at-rest CRC32C checksums in the block store. One CRC per
+/// chunk, verified on every read/scrub touching the chunk (HDFS: 512 B per
+/// chunk in .meta files; we checksum at packet granularity).
+inline constexpr Bytes kChecksumChunkSize = 64 * kKiB;
+/// Timeout of a replica probe or commit RPC to a datanode, which tells dead
+/// targets from slow ones during pipeline and lease recovery.
+inline constexpr SimDuration kProbeTimeout = milliseconds(800);
+
 /// Result of a replica probe during recovery.
 struct ReplicaProbeResult {
   bool alive = false;  ///< responder answered at all

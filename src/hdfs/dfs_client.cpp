@@ -20,16 +20,10 @@ void DfsClient::create_file_attempt(const std::string& path,
                                     std::function<void(Result<FileId>)> cb,
                                     bool overwrite, SimTime started_at) {
   Namenode& nn = namenode_;
-  rpc::RetryPolicy policy;
-  policy.timeout = config_.rpc_timeout;
-  policy.max_attempts = config_.rpc_max_attempts;
-  policy.backoff_base = config_.rpc_backoff_base;
-  policy.backoff_max = config_.rpc_backoff_max;
-  policy.jitter = config_.rpc_backoff_jitter;
   auto shared_cb =
       std::make_shared<std::function<void(Result<FileId>)>>(std::move(cb));
   rpc::call_with_retry<Result<FileId>>(
-      rpc_, sim_, policy, node_, nn.node_id(),
+      rpc_, sim_, rpc::RetryPolicy{}, node_, nn.node_id(),
       [&nn, path, client = id_, overwrite] {
         return nn.create(path, client, overwrite);
       },
@@ -40,18 +34,18 @@ void DfsClient::create_file_attempt(const std::string& path,
           if (result.error().code == "recovery_in_progress") {
             // The previous writer's lease is being recovered; the file will
             // be closed at its consistent prefix within a bounded number of
-            // monitor rounds. Wait one round and retry, up to a budget far
-            // past the worst-case recovery time.
-            budget = config_.lease_hard_limit +
-                     config_.lease_recovery_retry_interval *
-                         (config_.lease_recovery_max_attempts + 1);
+            // monitor rounds. Wait one round and retry, up to the worst-case
+            // recovery time — less the monitor round that notices an expiry,
+            // since this recovery is already under way.
+            budget = worst_case_lease_recovery(config_) -
+                     config_.lease_monitor_interval;
             interval = config_.lease_monitor_interval;
           } else if (result.error().code == "overloaded") {
             // The namenode shed the call even after RPC-level backoff; keep
             // polling at the overload interval under the overload budget,
             // then fail cleanly.
             budget = config_.overload_retry_budget;
-            interval = config_.overload_retry_interval;
+            interval = kOverloadRetryInterval;
           }
           const SimDuration waited = sim_.now() - started_at;
           if (budget > 0 && waited < budget) {
@@ -89,7 +83,7 @@ void DfsClient::start_heartbeat(
   speed_source_ = std::move(speed_source);
   if (heartbeat_) return;
   heartbeat_ = std::make_unique<sim::PeriodicTask>(
-      sim_, config_.heartbeat_interval, [this] {
+      sim_, kHeartbeatInterval, [this] {
         ++heartbeats_sent_;
         std::vector<SpeedRecord> records;
         if (speed_source_) records = speed_source_();
@@ -103,14 +97,14 @@ void DfsClient::start_heartbeat(
                     {rpc::ServiceClass::kHeartbeat});
       });
   const auto jitter = static_cast<SimDuration>(
-      sim_.rng().uniform_int(0, config_.heartbeat_interval - 1));
+      sim_.rng().uniform_int(0, kHeartbeatInterval - 1));
   heartbeat_->start_with_delay(jitter);
 }
 
 void DfsClient::resume_heartbeat() {
   if (!heartbeat_ || heartbeat_->running()) return;
   const auto jitter = static_cast<SimDuration>(
-      sim_.rng().uniform_int(0, config_.heartbeat_interval - 1));
+      sim_.rng().uniform_int(0, kHeartbeatInterval - 1));
   heartbeat_->start_with_delay(jitter);
 }
 

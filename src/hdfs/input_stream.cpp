@@ -10,6 +10,26 @@
 
 namespace smarth::hdfs {
 
+namespace {
+/// Stall-timer threshold = p95 of the serving datanode's ack_ns histogram
+/// times this multiplier — per-hop latency data reused as a slowness prior.
+/// Falls back to kHedgeStaticThreshold until that histogram (or, for the
+/// pace trigger, the global read.gap_ns one) has kHedgeMinSamples
+/// observations.
+constexpr double kHedgeTimerMultiplier = 8.0;
+constexpr std::uint64_t kHedgeMinSamples = 16;
+constexpr SimDuration kHedgeStaticThreshold = milliseconds(500);
+/// Pace trigger: a gray-slow replica still makes steady byte progress, so
+/// the stall timer alone never fires on it. The reader also compares its
+/// mean packet gap against the cluster-wide lower-quartile gap (global
+/// `read.gap_ns` histogram — the quartile keeps the baseline healthy even
+/// when the slow node's own gaps land in it) and hedges when the ratio
+/// exceeds this factor.
+constexpr double kHedgePaceFactor = 3.0;
+/// Concurrent hedges per client stream.
+constexpr int kHedgeMaxInFlight = 1;
+}  // namespace
+
 DfsInputStream::DfsInputStream(Deps deps, ClientId client, NodeId client_node,
                                std::string path, DoneCallback on_done)
     : deps_(std::move(deps)), client_(client), client_node_(client_node),
@@ -87,7 +107,7 @@ void DfsInputStream::retry_locations_after_shed() {
     return;
   }
   locate_retry_ = deps_.sim.schedule_after(
-      deps_.config.overload_retry_interval, [this] { fetch_locations(); });
+      kOverloadRetryInterval, [this] { fetch_locations(); });
 }
 
 void DfsInputStream::start_block(std::size_t block_index) {
@@ -166,11 +186,11 @@ void DfsInputStream::arm_cold_start_deadline() {
   cold_start_deadline_.cancel();
   if (finished_ || !deps_.config.hedged_reads || hedge_.active()) return;
   const auto* gaps = metrics::global_registry().find_histogram("read.gap_ns");
-  if (gaps != nullptr && gaps->count() >= deps_.config.hedge_min_samples) {
+  if (gaps != nullptr && gaps->count() >= kHedgeMinSamples) {
     return;  // warm: the pace trigger owns slowness detection now
   }
   cold_start_deadline_ =
-      deps_.sim.schedule_after(deps_.config.hedge_static_threshold, [this] {
+      deps_.sim.schedule_after(kHedgeStaticThreshold, [this] {
         if (finished_) return;
         launch_hedge("cold start");
       });
@@ -194,13 +214,12 @@ void DfsInputStream::send_attempt(ReadAttempt& attempt, NodeId replica) {
 SimDuration DfsInputStream::hedge_threshold(NodeId replica) const {
   const auto* hist = metrics::global_registry().find_histogram(
       "datanode." + replica.to_string() + ".ack_ns");
-  if (hist != nullptr && hist->count() >= deps_.config.hedge_min_samples) {
+  if (hist != nullptr && hist->count() >= kHedgeMinSamples) {
     const double p95 = hist->quantile(0.95);
-    const auto derived = static_cast<SimDuration>(
-        p95 * deps_.config.hedge_timer_multiplier);
+    const auto derived = static_cast<SimDuration>(p95 * kHedgeTimerMultiplier);
     if (derived > 0) return derived;
   }
-  return deps_.config.hedge_static_threshold;
+  return kHedgeStaticThreshold;
 }
 
 void DfsInputStream::arm_hedge_timer() {
@@ -241,13 +260,12 @@ void DfsInputStream::maybe_hedge_on_pace() {
     return;
   }
   // Enough gaps from this attempt to call its pace a pattern?
-  if (primary_.packets <=
-      static_cast<std::int64_t>(deps_.config.hedge_min_samples)) {
+  if (primary_.packets <= static_cast<std::int64_t>(kHedgeMinSamples)) {
     return;
   }
   const auto* gaps =
       metrics::global_registry().find_histogram("read.gap_ns");
-  if (gaps == nullptr || gaps->count() < deps_.config.hedge_min_samples) {
+  if (gaps == nullptr || gaps->count() < kHedgeMinSamples) {
     return;
   }
   // Lower quartile: with one gray node among many, most recorded gaps are
@@ -255,7 +273,7 @@ void DfsInputStream::maybe_hedge_on_pace() {
   // own gaps land in the same histogram.
   const double baseline = gaps->quantile(0.25);
   if (baseline <= 0.0) return;
-  if (primary_.mean_gap() > deps_.config.hedge_pace_factor * baseline) {
+  if (primary_.mean_gap() > kHedgePaceFactor * baseline) {
     launch_hedge("slow pace");
   }
 }
@@ -267,7 +285,7 @@ void DfsInputStream::launch_hedge(const char* why) {
       static_cast<int>(registry.gauge("read.hedges_in_flight").value());
   NodeId replica = pick_hedge_replica(primary_.replica);
   if (hedges_this_read_ >= deps_.config.hedge_per_read_cap ||
-      in_flight >= deps_.config.hedge_max_in_flight || !replica.valid()) {
+      in_flight >= kHedgeMaxInFlight || !replica.valid()) {
     ++stats_.hedges_denied;
     registry.counter("read.hedges_denied").add();
     // Budget exhausted (or no second replica): the watchdog remains the only
@@ -378,14 +396,13 @@ void DfsInputStream::on_attempt_won(ReadAttempt& winner) {
     const double winner_gap = winner.mean_gap();
     const bool decisive =
         loser_gap > 0.0 && winner_gap > 0.0 &&
-        loser_gap > deps_.config.hedge_pace_factor * winner_gap;
+        loser_gap > kHedgePaceFactor * winner_gap;
     if (decisive) {
       slow_replicas_.insert(loser.replica.value());
       Namenode& nn = deps_.namenode;
       deps_.rpc.notify(client_node_, nn.node_id(),
-                       [&nn, node = loser.replica,
-                        weight = deps_.config.suspicion_hedge_weight] {
-                         nn.report_slow_datanode(node, weight);
+                       [&nn, node = loser.replica] {
+                         nn.report_slow_datanode(node, kSuspicionHedgeWeight);
                        });
     }
     if (trace::active()) {

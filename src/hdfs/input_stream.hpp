@@ -119,7 +119,7 @@ class DfsInputStream : public ReadSink {
   };
 
   void fetch_locations();
-  /// The namenode shed getBlockLocations: re-poll at overload_retry_interval
+  /// The namenode shed getBlockLocations: re-poll at kOverloadRetryInterval
   /// while the wait stays inside overload_retry_budget, else fail cleanly.
   void retry_locations_after_shed();
   void start_block(std::size_t block_index);
@@ -147,11 +147,11 @@ class DfsInputStream : public ReadSink {
   void on_hedge_timer();
   /// Pace trigger, checked on every primary packet: a gray-slow replica keeps
   /// the stall timer re-armed, so also hedge when the primary's mean packet
-  /// gap exceeds `hedge_pace_factor` x the cluster-wide lower-quartile gap.
+  /// gap exceeds `kHedgePaceFactor` x the cluster-wide lower-quartile gap.
   void maybe_hedge_on_pace();
   /// Cold-start deadline: until `read.gap_ns` has enough samples the pace
   /// trigger has no healthy baseline, so the first block(s) get a one-shot
-  /// completion deadline of `hedge_static_threshold` instead — HDFS's static
+  /// completion deadline of `kHedgeStaticThreshold` instead — HDFS's static
   /// whole-request hedge threshold.
   void arm_cold_start_deadline();
   /// Shared hedge launcher behind both triggers; enforces the budget.

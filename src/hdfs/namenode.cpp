@@ -24,6 +24,13 @@ void trace_nn(smarth::trace::Category cat, const char* name,
 
 namespace smarth::hdfs {
 
+namespace {
+/// Fraction of closed-file blocks that must have at least one live
+/// non-corrupt replica re-reported before a restarted namenode leaves safe
+/// mode and resumes write/replication/invalidation decisions.
+constexpr double kSafeModeThreshold = 0.999;
+}  // namespace
+
 void SpeedBoard::update(ClientId client, const SpeedRecord& record) {
   auto& board = boards_[client];
   auto [it, inserted] = board.try_emplace(record.datanode, record);
@@ -59,7 +66,6 @@ Namenode::Namenode(sim::Simulation& sim, const net::Topology& topology,
                    const HdfsConfig& config, NodeId self)
     : sim_(sim), topology_(topology), config_(config), self_(self),
       policy_(std::make_unique<DefaultPlacementPolicy>()),
-      suspicion_(config.suspicion_half_life, config.suspicion_threshold),
       leases_(config.lease_soft_limit, config.lease_hard_limit) {}
 
 void Namenode::set_placement_policy(std::unique_ptr<PlacementPolicy> policy) {
@@ -663,7 +669,7 @@ void Namenode::issue_uc_recoveries(FileId file, LeaseRecoveryState& state) {
   BlockId abandon_at;  // lowest block that exhausted its recovery budget
   for (auto& [block, pending] : state.pending) {
     if (sim_.now() < pending.retry_at) continue;
-    if (pending.attempts >= config_.lease_recovery_max_attempts) {
+    if (pending.attempts >= kLeaseRecoveryMaxAttempts) {
       if (!abandon_at.valid()) abandon_at = block;
       continue;
     }
@@ -688,7 +694,7 @@ void Namenode::issue_uc_recoveries(FileId file, LeaseRecoveryState& state) {
       }
     }
     ++pending.attempts;
-    pending.retry_at = sim_.now() + config_.lease_recovery_retry_interval;
+    pending.retry_at = sim_.now() + kLeaseRecoveryRetryInterval;
     {
       EditOp op;
       op.type = EditOpType::kUcAttempt;
@@ -1119,7 +1125,7 @@ void Namenode::apply_edit(const EditOp& op) {
       UcBlockPending& pending =
           lease_recoveries_.at(op.file).pending.at(op.block);
       ++pending.attempts;
-      pending.retry_at = op.at + config_.lease_recovery_retry_interval;
+      pending.retry_at = op.at + kLeaseRecoveryRetryInterval;
       break;
     }
     case EditOpType::kCommitBlockSync: {
@@ -1177,8 +1183,7 @@ std::size_t Namenode::restart(const NamenodeImage& image,
   datanodes_.clear();
   last_heartbeat_.clear();
   speeds_ = SpeedBoard{};
-  suspicion_ = SuspicionList(config_.suspicion_half_life,
-                             config_.suspicion_threshold);
+  suspicion_ = SuspicionList{};
   rereplication_pending_.clear();
 
   restore_image(image);
@@ -1203,7 +1208,7 @@ std::size_t Namenode::restart(const NamenodeImage& image,
   if (safe_mode_) {
     safe_mode_timeout_.cancel();
     safe_mode_timeout_ =
-        sim_.schedule_after(config_.safe_mode_max_wait, [this] {
+        sim_.schedule_after(kSafeModeMaxWait, [this] {
           if (crashed_ || !safe_mode_ || !safe_mode_auto_) return;
           SMARTH_WARN("namenode")
               << "safe mode timed out at " << safe_blocks_fraction()
@@ -1253,7 +1258,7 @@ void Namenode::maybe_exit_safe_mode() {
   if (!safe_mode_ || !safe_mode_auto_) return;
   if (datanodes_.size() < safe_mode_min_datanodes_) return;
   const double fraction = safe_blocks_fraction();
-  if (fraction + 1e-9 < config_.safe_mode_threshold) return;
+  if (fraction + 1e-9 < kSafeModeThreshold) return;
   safe_mode_ = false;
   safe_mode_auto_ = false;
   last_safe_mode_exit_ = sim_.now();

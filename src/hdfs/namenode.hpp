@@ -30,6 +30,25 @@ struct EditOp;
 class EditLog;
 struct NamenodeImage;
 
+/// Deadline for one primary-datanode recovery round of an under-construction
+/// block before the namenode re-elects a primary and reissues the command.
+inline constexpr SimDuration kLeaseRecoveryRetryInterval = seconds(5);
+/// Recovery rounds per UC block before the block is abandoned (and the file
+/// truncated before it) so a dead rack cannot wedge the file forever.
+inline constexpr int kLeaseRecoveryMaxAttempts = 6;
+/// Hard ceiling on automatic safe mode: past this, a restarted namenode
+/// exits with whatever replica coverage it has (permanently lost replicas —
+/// e.g. every copy of a block rotted — must not wedge the control plane).
+inline constexpr SimDuration kSafeModeMaxWait = seconds(60);
+
+/// Worst case from a crashed writer's last lease renewal until the namenode
+/// has closed its file: the hard limit, one monitor round to notice the
+/// expiry, then every recovery round of a block plus one to spare.
+inline SimDuration worst_case_lease_recovery(const HdfsConfig& config) {
+  return config.lease_hard_limit + config.lease_monitor_interval +
+         kLeaseRecoveryRetryInterval * (kLeaseRecoveryMaxAttempts + 1);
+}
+
 /// Per-client map of the latest observed transfer speed to each datanode —
 /// the information clients piggyback on their heartbeats (paper §III-B).
 class SpeedBoard {

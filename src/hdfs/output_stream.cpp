@@ -9,6 +9,24 @@
 
 namespace smarth::hdfs {
 
+namespace {
+/// A stream fails its upload after waiting this long in total for a
+/// safe-mode namenode per allocation.
+constexpr SimDuration kSafeModeRetryBudget = seconds(60);
+/// Recovery rounds a single block may consume before the stream gives up
+/// cleanly (Hadoop's dfs.client.block.write.retries analogue).
+constexpr int kRecoveryAttemptsPerBlock = 5;
+/// Slow-node eviction: a node is a straggler when its own-time exceeds the
+/// median own-time of its pipeline peers by this factor.
+constexpr double kEvictionOutlierFactor = 4.0;
+/// ACK samples each pipeline member must contribute within the current
+/// pipeline before the detector may speak — one slow seek is not a pattern.
+constexpr std::uint64_t kEvictionMinSamples = 12;
+/// Quiet period between evictions on one stream, so a recovering pipeline
+/// is not immediately re-judged on its warm-up ACKs.
+constexpr SimDuration kEvictionCooldown = seconds(5);
+}  // namespace
+
 OutputStreamBase::OutputStreamBase(StreamDeps deps, ClientId client,
                                    NodeId client_node, FileId file,
                                    Bytes file_size, DoneCallback on_done)
@@ -132,20 +150,10 @@ void OutputStreamBase::produce_loop() {
   });
 }
 
-rpc::RetryPolicy OutputStreamBase::retry_policy() const {
-  rpc::RetryPolicy policy;
-  policy.timeout = deps_.config.rpc_timeout;
-  policy.max_attempts = deps_.config.rpc_max_attempts;
-  policy.backoff_base = deps_.config.rpc_backoff_base;
-  policy.backoff_max = deps_.config.rpc_backoff_max;
-  policy.jitter = deps_.config.rpc_backoff_jitter;
-  return policy;
-}
-
 bool OutputStreamBase::start_safe_mode_wait() {
   const SimTime now = deps_.sim.now();
   if (safe_mode_wait_started_ < 0) safe_mode_wait_started_ = now;
-  if (now - safe_mode_wait_started_ <= deps_.config.safe_mode_retry_budget) {
+  if (now - safe_mode_wait_started_ <= kSafeModeRetryBudget) {
     return true;
   }
   SMARTH_ERROR("stream") << "namenode still in safe mode after "
@@ -168,9 +176,9 @@ bool OutputStreamBase::start_overload_wait() {
 
 bool OutputStreamBase::recovery_budget_exhausted(BlockId block) {
   const int attempts = ++recovery_attempts_[block.value()];
-  if (attempts <= deps_.config.recovery_attempts_per_block) return false;
+  if (attempts <= kRecoveryAttemptsPerBlock) return false;
   SMARTH_ERROR("stream") << "recovery budget ("
-                         << deps_.config.recovery_attempts_per_block
+                         << kRecoveryAttemptsPerBlock
                          << ") exhausted for " << block.to_string();
   return true;
 }
@@ -229,7 +237,7 @@ void OutputStreamBase::request_block(
   // the saturation study's headline tail-latency series.
   const SimTime issued_at = deps_.sim.now();
   rpc::call_with_retry<Result<LocatedBlock>>(
-      deps_.rpc, deps_.sim, retry_policy(), client_node_, nn.node_id(),
+      deps_.rpc, deps_.sim, rpc::RetryPolicy{}, client_node_, nn.node_id(),
       [&nn, file = file_, client = client_, node = client_node_,
        excluded = std::move(excluded),
        deprioritized = std::move(deprioritized), block_index] {
@@ -377,7 +385,7 @@ void OutputStreamBase::complete_file() {
   if (finished_) return;
   Namenode& nn = deps_.namenode;
   rpc::call_with_retry<Result<bool>>(
-      deps_.rpc, deps_.sim, retry_policy(), client_node_, nn.node_id(),
+      deps_.rpc, deps_.sim, rpc::RetryPolicy{}, client_node_, nn.node_id(),
       [&nn, file = file_, client = client_] {
         return nn.complete(file, client);
       },
@@ -388,8 +396,7 @@ void OutputStreamBase::complete_file() {
             // Shed even after RPC-level backoff: keep polling under the
             // overload budget rather than abandoning a fully-written file.
             complete_retry_ = deps_.sim.schedule_after(
-                deps_.config.overload_retry_interval,
-                [this] { complete_file(); });
+                kOverloadRetryInterval, [this] { complete_file(); });
             return;
           }
           finish(true, result.error().to_string());
@@ -492,7 +499,7 @@ int OutputStreamBase::find_slow_pipeline_node(
     if (hist == nullptr) return -1;
     const auto stats = hist->stats();
     const auto window_count = stats.count() - pipeline.ack_baselines[i].count;
-    if (window_count < deps_.config.eviction_min_samples) return -1;
+    if (window_count < kEvictionMinSamples) return -1;
     means[i] = (stats.sum() - pipeline.ack_baselines[i].sum) /
                static_cast<double>(window_count);
   }
@@ -508,7 +515,7 @@ int OutputStreamBase::find_slow_pipeline_node(
   std::sort(sorted.begin(), sorted.end());
   const double median = sorted[sorted.size() / 2];
   if (median <= 0.0) return -1;
-  const double bound = deps_.config.eviction_outlier_factor * median;
+  const double bound = kEvictionOutlierFactor * median;
   std::size_t worst = 0;
   for (std::size_t i = 1; i < own.size(); ++i) {
     if (own[i] > own[worst]) worst = i;
@@ -532,8 +539,7 @@ int OutputStreamBase::find_slow_pipeline_node(
       std::sort(rest.begin(), rest.end());
       const double peer_baseline = rest[rest.size() / 2];
       if (peer_baseline > 0.0 &&
-          own[worst + 1] >
-              deps_.config.eviction_outlier_factor * peer_baseline) {
+          own[worst + 1] > kEvictionOutlierFactor * peer_baseline) {
         return static_cast<int>(worst + 1);
       }
     }
@@ -547,7 +553,7 @@ bool OutputStreamBase::maybe_evict_slow_node(ClientPipeline& pipeline) {
   }
   const SimTime now = deps_.sim.now();
   if (last_eviction_at_ >= 0 &&
-      now - last_eviction_at_ < deps_.config.eviction_cooldown) {
+      now - last_eviction_at_ < kEvictionCooldown) {
     return false;
   }
   const int slow_index = find_slow_pipeline_node(pipeline);
@@ -567,11 +573,9 @@ bool OutputStreamBase::maybe_evict_slow_node(ClientPipeline& pipeline) {
                         << ": datanode " << slow.to_string()
                         << " is a mid-block straggler; evicting";
   Namenode& nn = deps_.namenode;
-  deps_.rpc.notify(client_node_, nn.node_id(),
-                   [&nn, slow,
-                    weight = deps_.config.suspicion_eviction_weight] {
-                     nn.report_slow_datanode(slow, weight);
-                   });
+  deps_.rpc.notify(client_node_, nn.node_id(), [&nn, slow] {
+    nn.report_slow_datanode(slow, kSuspicionEvictionWeight);
+  });
   // The straggler rides the normal error path: recovery excludes the node at
   // error_index, splices in a replacement and transfers the prefix.
   on_pipeline_error(pipeline, slow_index);
@@ -589,7 +593,7 @@ DfsOutputStream::DfsOutputStream(StreamDeps deps, ClientId client,
                        std::move(on_done)) {}
 
 bool DfsOutputStream::production_window_open() const {
-  // Hadoop caps dataQueue + ackQueue at max_outstanding_packets (expressed
+  // Hadoop caps dataQueue + ackQueue at kMaxOutstandingPackets (expressed
   // here in transfer units).
   std::size_t in_flight = data_queue_.size();
   for (const auto& [id, p] : pipelines_) {
@@ -619,7 +623,7 @@ void DfsOutputStream::allocate_next_block() {
         // The namenode is back up but still rebuilding its replica map from
         // block reports; poll until it leaves safe mode (budgeted).
         safe_mode_retry_ = deps_.sim.schedule_after(
-            deps_.config.safe_mode_retry_interval, [this] {
+            kSafeModeRetryInterval, [this] {
               if (finished_) return;
               --current_block_;  // allocate_next_block() re-increments
               allocate_next_block();
@@ -630,7 +634,7 @@ void DfsOutputStream::allocate_next_block() {
         // Admission control shed the allocation even after RPC backoff;
         // re-poll at the overload cadence under its budget.
         safe_mode_retry_ = deps_.sim.schedule_after(
-            deps_.config.overload_retry_interval, [this] {
+            kOverloadRetryInterval, [this] {
               if (finished_) return;
               --current_block_;  // allocate_next_block() re-increments
               allocate_next_block();
@@ -669,7 +673,7 @@ void DfsOutputStream::pump_stream() {
   ClientPipeline* pipeline = find_pipeline(active_pipeline_);
   if (pipeline == nullptr || !pipeline->ready || pipeline->failed) return;
 
-  // Window: Hadoop keeps at most max_outstanding_packets un-acked.
+  // Window: Hadoop keeps at most kMaxOutstandingPackets un-acked.
   auto window_open = [&] {
     return pipeline->ack_queue.size() <
            static_cast<std::size_t>(deps_.config.max_outstanding_transfers());

@@ -29,6 +29,9 @@ namespace smarth::hdfs {
 
 class BlockRecovery;
 
+/// Cadence at which a client stream re-polls a namenode in safe mode.
+inline constexpr SimDuration kSafeModeRetryInterval = seconds(1);
+
 /// Everything a client-side stream needs from its environment.
 struct StreamDeps {
   sim::Simulation& sim;
@@ -212,9 +215,9 @@ class OutputStreamBase : public AckSink {
   // --- slow-node eviction -----------------------------------------------------
   /// Index of a mid-block straggler in `pipeline`, or -1. A node is a
   /// straggler when its windowed own-time (this pipeline's ack-latency delta,
-  /// minus its downstream neighbour's) exceeds `eviction_outlier_factor`
+  /// minus its downstream neighbour's) exceeds `kEvictionOutlierFactor`
   /// times the median of its peers'. Every member needs
-  /// `eviction_min_samples` window samples before any verdict.
+  /// `kEvictionMinSamples` window samples before any verdict.
   int find_slow_pipeline_node(const ClientPipeline& pipeline) const;
   /// Checks the straggler bound and, when it trips (outside the per-stream
   /// cooldown), reports the node to the namenode and fires the normal
@@ -228,8 +231,6 @@ class OutputStreamBase : public AckSink {
 
   ClientPipeline* find_pipeline(PipelineId id);
 
-  /// Retry policy for namenode RPCs, derived from the config.
-  rpc::RetryPolicy retry_policy() const;
   /// Charges time against the safe-mode wait budget: true while the stream
   /// should keep polling a safe-mode namenode (restart in progress; replica
   /// re-reports pending), false once the budget is exhausted and the stream
@@ -296,7 +297,7 @@ class OutputStreamBase : public AckSink {
   /// PipelineId -> open recovery span (tracing only).
   std::unordered_map<PipelineId, trace::SpanHandle> recovery_spans_;
   /// When this stream last evicted a slow node (-1: never); one eviction per
-  /// `eviction_cooldown` keeps a noisy window from serially rebuilding.
+  /// `kEvictionCooldown` keeps a noisy window from serially rebuilding.
   SimTime last_eviction_at_ = -1;
   /// Whole-upload span, opened by start() and closed by finish().
   trace::SpanHandle upload_span_;

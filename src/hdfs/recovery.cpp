@@ -32,7 +32,7 @@ void probe_replica_with_timeout(StreamDeps& deps, NodeId client_node,
         state->settled = true;
         state->cb(result);
       });
-  deps.sim.schedule_after(deps.config.probe_timeout, [state] {
+  deps.sim.schedule_after(kProbeTimeout, [state] {
     if (state->settled) return;
     state->settled = true;
     state->cb(ReplicaProbeResult{});  // alive=false
@@ -186,12 +186,11 @@ void BlockRecovery::truncate_survivors() {
           call_state->settled = true;
           step_done(node, ok);
         });
-    deps_.sim.schedule_after(deps_.config.probe_timeout,
-                             [call_state, node, step_done] {
-                               if (call_state->settled) return;
-                               call_state->settled = true;
-                               step_done(node, false);
-                             });
+    deps_.sim.schedule_after(kProbeTimeout, [call_state, node, step_done] {
+      if (call_state->settled) return;
+      call_state->settled = true;
+      step_done(node, false);
+    });
   }
 }
 
@@ -206,14 +205,9 @@ void BlockRecovery::request_replacements() {
   std::vector<NodeId> deprioritized;
   if (deps_.quarantine != nullptr) deprioritized = deps_.quarantine->active();
 
-  rpc::RetryPolicy policy;
-  policy.timeout = deps_.config.rpc_timeout;
-  policy.max_attempts = deps_.config.rpc_max_attempts;
-  policy.backoff_base = deps_.config.rpc_backoff_base;
-  policy.backoff_max = deps_.config.rpc_backoff_max;
-  policy.jitter = deps_.config.rpc_backoff_jitter;
   rpc::call_with_retry<Result<std::vector<NodeId>>>(
-      deps_.rpc, deps_.sim, policy, client_node_, deps_.namenode.node_id(),
+      deps_.rpc, deps_.sim, rpc::RetryPolicy{}, client_node_,
+      deps_.namenode.node_id(),
       [this, excluded = std::move(excluded),
        deprioritized = std::move(deprioritized), needed] {
         return deps_.namenode.get_additional_datanodes(

@@ -12,8 +12,7 @@ StandbyNamenode::StandbyNamenode(sim::Simulation& sim,
                                  const EditLog& log)
     : nn_(sim, topology, config, node),
       log_(log),
-      tail_interval_(config.standby_tail_interval),
-      task_(std::make_unique<sim::PeriodicTask>(sim, tail_interval_,
+      task_(std::make_unique<sim::PeriodicTask>(sim, kStandbyTailInterval,
                                                 [this] { catch_up(); })) {}
 
 void StandbyNamenode::bootstrap(const NamenodeImage& image,

@@ -20,6 +20,9 @@ namespace smarth::hdfs {
 
 class EditLog;
 
+/// Cadence at which the standby tails the edit log (its lag bound).
+inline constexpr SimDuration kStandbyTailInterval = milliseconds(500);
+
 class StandbyNamenode {
  public:
   /// `node` is only an identity for the inner Namenode (the standby neither
@@ -31,7 +34,7 @@ class StandbyNamenode {
   /// and records which txids are already folded in.
   void bootstrap(const NamenodeImage& image, std::int64_t applied_txid);
 
-  /// Starts/stops the periodic tailer (config.standby_tail_interval).
+  /// Starts/stops the periodic tailer (every kStandbyTailInterval).
   void start();
   void stop();
 
@@ -50,7 +53,6 @@ class StandbyNamenode {
  private:
   Namenode nn_;
   const EditLog& log_;
-  SimDuration tail_interval_;
   std::int64_t applied_txid_ = 0;
   std::uint64_t ops_applied_ = 0;
   std::unique_ptr<sim::PeriodicTask> task_;

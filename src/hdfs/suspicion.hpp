@@ -18,9 +18,21 @@
 
 namespace smarth::hdfs {
 
+/// Score a write-pipeline slow-node eviction report adds to its datanode.
+inline constexpr double kSuspicionEvictionWeight = 2.0;
+/// Score a decisive hedged-read win adds to the losing replica's datanode.
+inline constexpr double kSuspicionHedgeWeight = 1.0;
+/// Scores halve every half-life; a node whose decayed score is at or above
+/// the threshold is demoted in placement and SMARTH top-n selection. Decay
+/// is the recovery path: a node that speeds back up stops accruing reports
+/// and drops below the threshold within a few half-lives.
+inline constexpr SimDuration kSuspicionHalfLife = seconds(30);
+inline constexpr double kSuspicionThreshold = 2.0;
+
 class SuspicionList {
  public:
-  SuspicionList(SimDuration half_life, double threshold)
+  explicit SuspicionList(SimDuration half_life = kSuspicionHalfLife,
+                         double threshold = kSuspicionThreshold)
       : half_life_(half_life), threshold_(threshold) {}
 
   /// Adds `weight` to the node's decayed score at time `now`.

@@ -5,6 +5,10 @@
 namespace smarth::hdfs {
 
 namespace {
+/// Wire sizes of a pipeline or read setup request and of SMARTH's FNFA.
+constexpr Bytes kSetupWire = 256;
+constexpr Bytes kFnfaWire = 64;
+
 /// Wraps a per-packet or per-ACK delivery lambda, proving at compile time
 /// that it rides inline in the callback (no heap allocation per message).
 template <typename F>
@@ -24,7 +28,7 @@ Transport::Transport(net::Network& network, const HdfsConfig& config,
 
 void Transport::send_setup(NodeId from, NodeId to, PipelineSetup setup) {
   network_.send(
-      from, to, config_.setup_wire,
+      from, to, kSetupWire,
       [this, to, setup = std::move(setup)] {
         if (PacketSink* sink = resolver_.packet_sink(to)) {
           sink->deliver_setup(setup);
@@ -49,7 +53,7 @@ void Transport::send_packet(NodeId from, NodeId to, WirePacket packet) {
 
 void Transport::send_ack_to_datanode(NodeId from, NodeId to, PipelineAck ack) {
   network_.send(
-      from, to, config_.ack_wire,
+      from, to, kAckWire,
       inline_delivery([this, to, ack] {
         if (PacketSink* sink = resolver_.packet_sink(to)) {
           sink->deliver_downstream_ack(ack);
@@ -60,7 +64,7 @@ void Transport::send_ack_to_datanode(NodeId from, NodeId to, PipelineAck ack) {
 
 void Transport::send_ack_to_client(NodeId from, NodeId to, PipelineAck ack) {
   network_.send(
-      from, to, config_.ack_wire,
+      from, to, kAckWire,
       inline_delivery([this, to, ack] {
         if (AckSink* sink = resolver_.ack_sink(to, ack.pipeline)) {
           sink->deliver_ack(ack);
@@ -72,7 +76,7 @@ void Transport::send_ack_to_client(NodeId from, NodeId to, PipelineAck ack) {
 void Transport::send_setup_ack_to_datanode(NodeId from, NodeId to,
                                            SetupAck ack) {
   network_.send(
-      from, to, config_.ack_wire,
+      from, to, kAckWire,
       inline_delivery([this, to, ack] {
         if (PacketSink* sink = resolver_.packet_sink(to)) {
           sink->deliver_downstream_setup_ack(ack);
@@ -84,7 +88,7 @@ void Transport::send_setup_ack_to_datanode(NodeId from, NodeId to,
 void Transport::send_setup_ack_to_client(NodeId from, NodeId to,
                                          SetupAck ack) {
   network_.send(
-      from, to, config_.ack_wire,
+      from, to, kAckWire,
       inline_delivery([this, to, ack] {
         if (AckSink* sink = resolver_.ack_sink(to, ack.pipeline)) {
           sink->deliver_setup_ack(ack);
@@ -95,7 +99,7 @@ void Transport::send_setup_ack_to_client(NodeId from, NodeId to,
 
 void Transport::send_fnfa(NodeId from, NodeId to, FnfaMessage fnfa) {
   network_.send(
-      from, to, config_.fnfa_wire,
+      from, to, kFnfaWire,
       inline_delivery([this, to, fnfa] {
         if (AckSink* sink = resolver_.ack_sink(to, fnfa.pipeline)) {
           sink->deliver_fnfa(fnfa);
@@ -107,7 +111,7 @@ void Transport::send_fnfa(NodeId from, NodeId to, FnfaMessage fnfa) {
 void Transport::send_read_request(NodeId from, NodeId to,
                                   ReadRequest request) {
   network_.send(
-      from, to, config_.setup_wire,
+      from, to, kSetupWire,
       inline_delivery([this, to, request] {
         if (PacketSink* sink = resolver_.packet_sink(to)) {
           sink->deliver_read_request(request);
@@ -118,7 +122,7 @@ void Transport::send_read_request(NodeId from, NodeId to,
 
 void Transport::send_read_packet(NodeId from, NodeId to, ReadPacket packet) {
   // Error markers are tiny control messages; data packets are bulk.
-  const Bytes wire = packet.error ? config_.ack_wire
+  const Bytes wire = packet.error ? kAckWire
                                   : config_.transfer_wire_size(packet.payload);
   const auto priority = packet.error ? net::LinkPriority::kControl
                                      : net::LinkPriority::kBulk;

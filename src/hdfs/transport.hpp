@@ -9,6 +9,9 @@
 
 namespace smarth::hdfs {
 
+/// Wire size of a pipeline ACK, setup ACK or read-error marker.
+inline constexpr Bytes kAckWire = 64;
+
 class Transport {
  public:
   Transport(net::Network& network, const HdfsConfig& config,
@@ -19,7 +22,8 @@ class Transport {
 
   void send_setup(NodeId from, NodeId to, PipelineSetup setup);
   void send_packet(NodeId from, NodeId to, WirePacket packet);
-  /// `to_client` selects the AckSink (upstream end) vs PacketSink route.
+  /// ACKs route to a datanode's PacketSink or to a client's AckSink (the
+  /// pipeline's upstream end).
   void send_ack_to_datanode(NodeId from, NodeId to, PipelineAck ack);
   void send_ack_to_client(NodeId from, NodeId to, PipelineAck ack);
   void send_setup_ack_to_datanode(NodeId from, NodeId to, SetupAck ack);

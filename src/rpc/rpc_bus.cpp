@@ -6,9 +6,6 @@
 
 namespace smarth::rpc {
 
-RpcBus::RpcBus(net::Network& network, RpcConfig config)
-    : network_(network), config_(config) {}
-
 void RpcBus::set_host_down(NodeId node, bool down) {
   SMARTH_CHECK(node.valid());
   const auto idx = static_cast<std::size_t>(node.value());
@@ -78,7 +75,7 @@ void RpcBus::notify(NodeId sender, NodeId receiver,
     return;
   }
   send_control(
-      sender, receiver, config_.request_wire_size,
+      sender, receiver, kRequestWireSize,
       [this, sender, receiver, options,
        handler = std::move(handler)]() mutable {
         if (host_down(receiver)) {
@@ -87,7 +84,7 @@ void RpcBus::notify(NodeId sender, NodeId receiver,
         }
         ServiceQueue* queue = service_queue(receiver);
         if (queue == nullptr) {
-          network_.simulation().schedule_after(config_.service_time,
+          network_.simulation().schedule_after(kServiceTime,
                                                std::move(handler));
           return;
         }

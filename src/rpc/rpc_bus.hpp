@@ -23,12 +23,11 @@
 
 namespace smarth::rpc {
 
-struct RpcConfig {
-  Bytes request_wire_size = 256;
-  Bytes response_wire_size = 512;
-  /// Server-side processing time per call.
-  SimDuration service_time = microseconds(200);
-};
+/// Wire sizes of one control request and its response.
+inline constexpr Bytes kRequestWireSize = 256;
+inline constexpr Bytes kResponseWireSize = 512;
+/// Server-side processing time per call on a server without a ServiceQueue.
+inline constexpr SimDuration kServiceTime = microseconds(200);
 
 /// Fault-injection knobs for the control plane. Loss and delay apply per
 /// control message (request and response independently), drawn from the
@@ -46,7 +45,7 @@ struct RpcChaos {
 
 class RpcBus {
  public:
-  explicit RpcBus(net::Network& network, RpcConfig config = {});
+  explicit RpcBus(net::Network& network) : network_(network) {}
 
   /// Marks a host unreachable: requests to it and responses from it vanish
   /// (callers time out at the protocol layer). Used by fault injection.
@@ -60,7 +59,7 @@ class RpcBus {
 
   /// Installs a finite-capacity service model for `server`. Calls addressed
   /// to it queue through `queue` (per-class modeled cost, optional admission
-  /// control) instead of the flat `service_time`. Pass nullptr to clear. The
+  /// control) instead of the flat `kServiceTime`. Pass nullptr to clear. The
   /// queue is owned by the caller and must outlive the bus's use of it.
   void set_service_queue(NodeId server, ServiceQueue* queue);
   ServiceQueue* service_queue(NodeId server) const;
@@ -98,7 +97,7 @@ class RpcBus {
       return;
     }
     send_control(
-        client, server, config_.request_wire_size,
+        client, server, kRequestWireSize,
         [this, client, server, options, handler = std::move(handler),
          on_response = std::move(on_response),
          shed_response = std::move(shed_response)]() mutable {
@@ -121,7 +120,7 @@ class RpcBus {
                 record_dropped_call(client, server);
                 return;
               }
-              send_control(server, client, config_.response_wire_size,
+              send_control(server, client, kResponseWireSize,
                            [this, client, server, resp = std::move(resp),
                             respond_cb]() mutable {
                              if (host_down(client)) {
@@ -136,7 +135,7 @@ class RpcBus {
           };
           ServiceQueue* queue = service_queue(server);
           if (queue == nullptr) {
-            network_.simulation().schedule_after(config_.service_time,
+            network_.simulation().schedule_after(kServiceTime,
                                                  std::move(serve));
             return;
           }
@@ -150,7 +149,7 @@ class RpcBus {
                 record_dropped_call(client, server);
                 return;
               }
-              send_control(server, client, config_.response_wire_size,
+              send_control(server, client, kResponseWireSize,
                            [this, client, server, respond_cb,
                             shed_response = std::move(shed_response)]() {
                              if (host_down(client)) {
@@ -176,7 +175,6 @@ class RpcBus {
 
   std::uint64_t calls_started() const { return calls_started_; }
   std::uint64_t calls_completed() const { return calls_completed_; }
-  const RpcConfig& config() const { return config_; }
 
  private:
   /// Counts a call abandoned because an endpoint was down at some stage
@@ -190,7 +188,6 @@ class RpcBus {
                     std::function<void()> on_delivered);
 
   net::Network& network_;
-  RpcConfig config_;
   RpcChaos chaos_;
   std::vector<bool> down_;
   std::vector<ServiceQueue*> queues_;  // indexed by server NodeId

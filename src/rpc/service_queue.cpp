@@ -13,6 +13,10 @@ namespace smarth::rpc {
 
 namespace {
 
+/// Marginal cost of each batched heartbeat after the first, as a fraction of
+/// Config::cost_heartbeat.
+constexpr double kBatchMarginalCost = 0.25;
+
 metrics::Counter& reg_counter(const char* name) {
   return metrics::global_registry().counter(name);
 }
@@ -31,7 +35,6 @@ ServiceQueue::ServiceQueue(sim::Simulation& sim, Config config)
   SMARTH_CHECK(config_.cost_add_block > 0);
   SMARTH_CHECK(config_.queue_capacity > 0);
   SMARTH_CHECK(config_.heartbeat_batch_max >= 1);
-  SMARTH_CHECK(config_.batch_marginal_cost >= 0.0);
 }
 
 SimDuration ServiceQueue::cost_of(ServiceClass cls) const {
@@ -174,7 +177,7 @@ void ServiceQueue::maybe_serve() {
       cost = config_.cost_heartbeat +
              static_cast<SimDuration>(
                  static_cast<double>(config_.cost_heartbeat) *
-                 config_.batch_marginal_cost * (n - 1));
+                 kBatchMarginalCost * (n - 1));
       if (n > 1) {
         ++counters_.heartbeat_batches;
         counters_.heartbeats_batched += static_cast<std::uint64_t>(n);

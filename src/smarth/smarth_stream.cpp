@@ -81,14 +81,14 @@ void SmarthOutputStream::advance_block() {
         // leaves safe mode (budgeted). next_block_ was not advanced, so
         // advance_block() retries the same allocation.
         safe_mode_retry_ = deps_.sim.schedule_after(
-            deps_.config.safe_mode_retry_interval, [this] { advance_block(); });
+            hdfs::kSafeModeRetryInterval, [this] { advance_block(); });
         return;
       }
       if (result.error().code == "overloaded" && start_overload_wait()) {
         // Admission control shed the allocation even after RPC backoff;
         // re-poll at the overload cadence (budgeted, same retry shape).
         safe_mode_retry_ = deps_.sim.schedule_after(
-            deps_.config.overload_retry_interval, [this] { advance_block(); });
+            hdfs::kOverloadRetryInterval, [this] { advance_block(); });
         return;
       }
       finish(true, "addBlock failed: " + result.error().to_string());

@@ -40,12 +40,6 @@ bool drive_until(Cluster& cluster, SimDuration span, Pred done) {
   return done();
 }
 
-SimDuration recovery_budget(const hdfs::HdfsConfig& cfg) {
-  return cfg.lease_hard_limit + cfg.lease_monitor_interval +
-         cfg.lease_recovery_retry_interval *
-             (cfg.lease_recovery_max_attempts + 1);
-}
-
 void crash_mid_block_and_expect_consistent_prefix(Protocol protocol) {
   Cluster cluster(crash_spec(11));
   const std::size_t reader_index =
@@ -64,7 +58,8 @@ void crash_mid_block_and_expect_consistent_prefix(Protocol protocol) {
 
   // The file must leave under-construction within the hard limit plus the
   // recovery retry budget, with no one calling recoverLease.
-  const SimTime recovery_deadline = recovery_budget(cluster.config());
+  const SimTime recovery_deadline =
+      hdfs::worst_case_lease_recovery(cluster.config());
   ASSERT_TRUE(drive_until(cluster, recovery_deadline + seconds(5), [&] {
     const hdfs::FileEntry* entry = cluster.namenode().file_by_path("/crash");
     return entry != nullptr && entry->state == hdfs::FileState::kClosed;
@@ -139,9 +134,9 @@ TEST(ClientCrash, NewWriterTakesOverPathAfterRecovery) {
             /*overwrite=*/true);
       });
 
-  ASSERT_TRUE(drive_until(cluster,
-                          recovery_budget(cluster.config()) + seconds(20),
-                          [&created] { return created.has_value(); }));
+  ASSERT_TRUE(drive_until(
+      cluster, hdfs::worst_case_lease_recovery(cluster.config()) + seconds(20),
+      [&created] { return created.has_value(); }));
   ASSERT_TRUE(created->ok()) << created->error().to_string();
   const hdfs::FileEntry* entry =
       cluster.namenode().file_by_path("/contended");

@@ -205,7 +205,7 @@ TEST(NamenodeRestart, StandbyTailsLogWithBoundedLag) {
   const std::int64_t target = cluster.edit_log().last_txid();
   EXPECT_GT(target, 0);
   cluster.sim().run_until(cluster.sim().now() +
-                          2 * cluster.config().standby_tail_interval);
+                          2 * hdfs::kStandbyTailInterval);
   ASSERT_NE(cluster.standby(), nullptr);
   EXPECT_GE(cluster.standby()->applied_txid(), target);
   // Checkpoint truncation never outran the standby: the tail it still needs

@@ -87,8 +87,8 @@ TEST(UploadSmarth, SpeedRecordsReachNamenode) {
   EXPECT_TRUE(cluster.speed_tracker().has_records());
   // Heartbeats every 3 s carry the tracker's records; give one a chance to
   // fire after the upload finished.
-  cluster.sim().run_until(cluster.sim().now() +
-                          cluster.config().heartbeat_interval + seconds(1));
+  cluster.sim().run_until(cluster.sim().now() + hdfs::kHeartbeatInterval +
+                          seconds(1));
   EXPECT_TRUE(
       cluster.namenode().speed_board().has_records(cluster.client().id()));
 }

@@ -183,8 +183,7 @@ SoakResult soak_once(
   // mode would be a liveness bug, so this is asserted, not just waited for.
   const SimTime control_deadline = cluster.sim().now() +
                                    rates.nn_restart_delay +
-                                   soak_spec(seed).hdfs.safe_mode_max_wait +
-                                   seconds(5);
+                                   hdfs::kSafeModeMaxWait + seconds(5);
   while (cluster.sim().now() < control_deadline &&
          (cluster.namenode_crashed() || cluster.namenode().safe_mode())) {
     cluster.sim().run_until(cluster.sim().now() + milliseconds(250));
@@ -201,12 +200,9 @@ SoakResult soak_once(
   // must close it at a consistent prefix within the hard limit plus the
   // recovery retry budget. A file still UC under a *live, renewing* holder
   // is legitimate (HDFS keeps a lease as long as its process renews).
-  const SimDuration recovery_budget =
-      soak_spec(seed).hdfs.lease_hard_limit +
-      soak_spec(seed).hdfs.lease_monitor_interval +
-      soak_spec(seed).hdfs.lease_recovery_retry_interval *
-          (soak_spec(seed).hdfs.lease_recovery_max_attempts + 1);
-  const SimTime uc_deadline = cluster.sim().now() + recovery_budget;
+  const SimTime uc_deadline =
+      cluster.sim().now() +
+      hdfs::worst_case_lease_recovery(soak_spec(seed).hdfs);
   while (cluster.sim().now() < uc_deadline) {
     const hdfs::FileEntry* entry = cluster.namenode().file_by_path("/soak");
     if (entry == nullptr || entry->state == hdfs::FileState::kClosed ||

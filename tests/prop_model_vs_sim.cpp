@@ -44,7 +44,7 @@ class ModelVsSim : public ::testing::TestWithParam<Case> {
     const auto& profile = spec.datanodes[0].profile;
     p.t_w = profile.disk_op_overhead +
             profile.disk_write.transmit_time(p.packet_size) +
-            spec.hdfs.checksum_verify_time;
+            hdfs::kChecksumVerifyTime;
     // Tn: an addBlock round trip plus the pipeline setup chain.
     p.t_n = milliseconds(2);
     const Bandwidth nic = profile.network;

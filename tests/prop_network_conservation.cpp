@@ -85,8 +85,7 @@ TEST(NetworkConservation, UploadByteLedgerConsistent) {
   // Client egress: at least the payload plus headers, at most +5% control.
   const Bytes client_sent = cluster.network().bytes_sent(cluster.client_node());
   const Bytes payload_with_headers =
-      file_size +
-      stats.packets * cluster.config().packet_header_wire;
+      file_size + stats.packets * hdfs::kPacketHeaderWire;
   EXPECT_GE(client_sent, payload_with_headers);
   EXPECT_LE(client_sent, payload_with_headers * 105 / 100);
 

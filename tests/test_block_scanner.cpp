@@ -104,7 +104,7 @@ TEST(BlockScanner, BudgetBoundsScrubRate) {
   cluster.sim().run_until(from + seconds(10));
   // Every replica is a whole 4 MiB block, so every chunk is full-size and
   // chunks scanned times the chunk size is exactly the bytes scrubbed.
-  const Bytes chunk = cluster.config().checksum_chunk_size;
+  const Bytes chunk = hdfs::kChecksumChunkSize;
   const Bytes scanned = static_cast<Bytes>(
       cluster.datanode(dn).scanner().chunks_scanned() - before) * chunk;
   // Never more than the budget allows over the window (one chunk of slack

@@ -56,7 +56,7 @@ TEST_F(DfsClientTest, HeartbeatCarriesSpeedRecords) {
   std::vector<SpeedRecord> to_report{
       SpeedRecord{dn_, Bandwidth::mbps(123), 0}};
   client_->start_heartbeat([&to_report] { return to_report; });
-  sim_.run_until(2 * config_.heartbeat_interval + seconds(1));
+  sim_.run_until(2 * kHeartbeatInterval + seconds(1));
   EXPECT_GE(client_->heartbeats_sent(), 1u);
   const auto speed = namenode_->speed_board().speed(ClientId{0}, dn_);
   ASSERT_TRUE(speed.has_value());
@@ -65,14 +65,14 @@ TEST_F(DfsClientTest, HeartbeatCarriesSpeedRecords) {
 
 TEST_F(DfsClientTest, EmptyReportsSendPlainHeartbeat) {
   client_->start_heartbeat([] { return std::vector<SpeedRecord>{}; });
-  sim_.run_until(2 * config_.heartbeat_interval + seconds(1));
+  sim_.run_until(2 * kHeartbeatInterval + seconds(1));
   EXPECT_GE(client_->heartbeats_sent(), 1u);
   EXPECT_FALSE(namenode_->speed_board().has_records(ClientId{0}));
 }
 
 TEST_F(DfsClientTest, HeartbeatCadenceMatchesConfig) {
   client_->start_heartbeat(nullptr);
-  sim_.run_until(10 * config_.heartbeat_interval + seconds(1));
+  sim_.run_until(10 * kHeartbeatInterval + seconds(1));
   // Initial jitter spreads the first beat inside one interval; thereafter
   // one per interval.
   EXPECT_GE(client_->heartbeats_sent(), 9u);
@@ -81,17 +81,17 @@ TEST_F(DfsClientTest, HeartbeatCadenceMatchesConfig) {
 
 TEST_F(DfsClientTest, StopHeartbeatQuiesces) {
   client_->start_heartbeat(nullptr);
-  sim_.run_until(2 * config_.heartbeat_interval);
+  sim_.run_until(2 * kHeartbeatInterval);
   const std::uint64_t sent = client_->heartbeats_sent();
   client_->stop_heartbeat();
-  sim_.run_until(sim_.now() + 5 * config_.heartbeat_interval);
+  sim_.run_until(sim_.now() + 5 * kHeartbeatInterval);
   EXPECT_EQ(client_->heartbeats_sent(), sent);
 }
 
 TEST_F(DfsClientTest, StartHeartbeatTwiceKeepsOneTask) {
   client_->start_heartbeat(nullptr);
   client_->start_heartbeat(nullptr);  // must not double-fire
-  sim_.run_until(4 * config_.heartbeat_interval + seconds(1));
+  sim_.run_until(4 * kHeartbeatInterval + seconds(1));
   EXPECT_LE(client_->heartbeats_sent(), 5u);
 }
 

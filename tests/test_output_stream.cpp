@@ -124,7 +124,7 @@ TEST(BaselineStream, WindowBoundsOutstandingPackets) {
       Bandwidth::mbps(10).bits_per_second() /
       static_cast<double>(64 * kKiB * 8)) + 2;
   EXPECT_LE(stream->stats().packets,
-            spec.hdfs.max_outstanding_packets + acked_bound);
+            hdfs::kMaxOutstandingPackets + acked_bound);
   EXPECT_LT(stream->stats().packets, 256);
 }
 

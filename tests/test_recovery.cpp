@@ -334,7 +334,7 @@ TEST_F(RecoveryTest, ProbeCrashedNodeReportsDead) {
   std::optional<ReplicaProbeResult> result;
   probe_replica_with_timeout(*deps_, client_node_, dn_nodes_[0], BlockId{7},
                              [&result](ReplicaProbeResult r) { result = r; });
-  sim_.run_until(sim_.now() + config_.probe_timeout + seconds(1));
+  sim_.run_until(sim_.now() + kProbeTimeout + seconds(1));
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->alive);
 }
@@ -350,7 +350,7 @@ TEST_F(RecoveryTest, ProbeIsolatedNodeTimesOutExactlyOnce) {
                              });
   // Run far past the timeout: a late response must not fire the callback a
   // second time.
-  sim_.run_until(sim_.now() + config_.probe_timeout * 4);
+  sim_.run_until(sim_.now() + kProbeTimeout * 4);
   EXPECT_EQ(calls, 1);
   EXPECT_FALSE(alive);
 }

@@ -37,7 +37,7 @@ TEST_F(RpcTest, CallPaysNetworkAndServiceTime) {
   sim_.run();
   // Request wire + service + response wire; must exceed the pure service
   // time and two propagation delays.
-  EXPECT_GT(responded_at, bus_.config().service_time);
+  EXPECT_GT(responded_at, kServiceTime);
   EXPECT_LT(responded_at, milliseconds(10));
 }
 

@@ -98,7 +98,7 @@ TEST_F(TransportTest, PacketCarriesHeaderOverheadOnWire) {
   transport_->send_packet(a_, b_, packet);
   sim_.run();
   ASSERT_EQ(sink_.packets.size(), 1u);
-  EXPECT_EQ(net_.bytes_sent(a_), 64 * kKiB + config_.packet_header_wire);
+  EXPECT_EQ(net_.bytes_sent(a_), 64 * kKiB + kPacketHeaderWire);
 }
 
 TEST_F(TransportTest, AckRoutingSplitsByDirection) {
@@ -182,7 +182,7 @@ TEST_F(TransportTest, ErrorReadPacketIsControlSized) {
   error_packet.error = true;
   transport_->send_read_packet(a_, b_, error_packet);
   sim_.run();
-  EXPECT_EQ(net_.bytes_sent(a_), config_.ack_wire);
+  EXPECT_EQ(net_.bytes_sent(a_), kAckWire);
 }
 
 }  // namespace

@@ -10,11 +10,13 @@
 //   smarthsim --chaos-rates=crash=2,failslow=4,rpcloss=0.05 --chaos-seed=7
 //   smarthsim --bitrot=0@40,1@45 --scan-mbps=16 --read-back
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -170,6 +172,38 @@ std::optional<double> fail_slow_factor_flag(const FlagSet& flags) {
                                              flags.get("fail-slow-factor"));
   }
   return factor;
+}
+
+/// Validates the experiment-shape flags before any run: a value the
+/// simulator cannot honor (a zero block size, an empty file, a negative
+/// throttle) must exit 2, not crash mid-run or silently fall back to a
+/// default.
+void validate_shape_flags(const FlagSet& flags) {
+  for (const auto& [name, min] :
+       {std::pair<const char*, std::int64_t>{"block-mb", 1},
+        {"replication", 1},
+        {"datanodes", 3},
+        {"sweep-seeds", 0},
+        {"jobs", 0}}) {
+    const auto value = flags.get_int(name);
+    if (!value || *value < min) {
+      fault_flag_error(name, "must be an integer >= " + std::to_string(min) +
+                                 ", got " + flags.get(name));
+    }
+  }
+  for (const auto& [name, zero_ok] :
+       {std::pair<const char*, bool>{"size-gb", false},
+        {"fidelity-tolerance", false},
+        {"throttle-mbps", true},
+        {"scan-mbps", true}}) {
+    const auto value = flags.get_double(name);
+    if (!value || !std::isfinite(*value) || *value < 0 ||
+        (*value == 0 && !zero_ok)) {
+      fault_flag_error(name, std::string("must be a ") +
+                                 (zero_ok ? "non-negative" : "positive") +
+                                 " number, got " + flags.get(name));
+    }
+  }
 }
 
 /// Validated --sample-interval: the flight recorder's sampling cadence in
@@ -477,10 +511,9 @@ RunDetails run_world(const RunConfig& rc, cluster::Protocol protocol,
     if (sim.now() <= *rc.client_crash_at) {
       sim.run_until(*rc.client_crash_at + milliseconds(1));
     }
-    const SimTime deadline =
-        sim.now() + cfg.lease_hard_limit + cfg.lease_monitor_interval +
-        cfg.lease_recovery_retry_interval *
-            (cfg.lease_recovery_max_attempts + 2);
+    const SimTime deadline = sim.now() +
+                             hdfs::worst_case_lease_recovery(cfg) +
+                             hdfs::kLeaseRecoveryRetryInterval;
     while (sim.now() < deadline) {
       const hdfs::FileEntry* entry =
           cluster.namenode().file_by_path("/data/cli.bin");
@@ -704,6 +737,7 @@ int main(int argc, char** argv) {
                  fidelity.c_str());
     return 2;
   }
+  validate_shape_flags(flags);
   // Validate severity eagerly: a bad --fail-slow-factor must exit 2 even
   // when no fault flag consumes it this run.
   (void)fail_slow_factor_flag(flags);
@@ -803,6 +837,10 @@ int main(int argc, char** argv) {
   }
   rc.size = static_cast<Bytes>(flags.get_double("size-gb").value_or(1.0) *
                                static_cast<double>(kGiB));
+  if (rc.size <= 0) {
+    fault_flag_error("size-gb", "rounds to an empty file: " +
+                                    flags.get("size-gb"));
+  }
   rc.want_timeseries = !timeseries_out.empty();
   rc.timeseries_csv = ends_with(timeseries_out, ".csv");
   rc.quiet = sweep_mode;
@@ -843,6 +881,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::string>> metric_snapshots;
   std::vector<std::pair<std::string, std::string>> editlog_snapshots;
   std::string straggler_text;
+  bool solo_aborted = false;
   for (const cluster::Protocol protocol : protocols) {
     const char* name = cluster::protocol_name(protocol);
     // A solo run is a one-seed sweep on this thread; it alone keeps the
@@ -877,6 +916,7 @@ int main(int argc, char** argv) {
     const harness::SeedRun& run = sweep.runs.front();
     if (run.errored) {
       std::fprintf(stderr, "%s run aborted: %s\n", name, run.error.c_str());
+      solo_aborted = true;
       continue;
     }
     if (!metrics_out.empty()) {
@@ -943,7 +983,8 @@ int main(int argc, char** argv) {
     }
   } else {
     std::printf("%s%s", straggler_text.c_str(), table.to_string().c_str());
-    if (!open_loop && seconds_by_protocol.size() == 2) {
+    if (!open_loop && !solo_aborted && seconds_by_protocol.size() == 2 &&
+        seconds_by_protocol[1] > 0) {
       std::printf("improvement: %.1f%%\n",
                   (seconds_by_protocol[0] / seconds_by_protocol[1] - 1.0) *
                       100.0);

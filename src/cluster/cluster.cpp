@@ -46,18 +46,7 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
 
   rpc_ = std::make_unique<rpc::RpcBus>(*network_);
 
-  hdfs::SinkResolver resolver;
-  resolver.packet_sink = [this](NodeId node) -> hdfs::PacketSink* {
-    return resolve_datanode(node);
-  };
-  resolver.ack_sink = [this](NodeId node, PipelineId pipeline) {
-    return resolve_ack_sink(node, pipeline);
-  };
-  resolver.read_sink = [this](NodeId node, hdfs::ReadId read) {
-    return resolve_read_sink(node, read);
-  };
-  transport_ = std::make_unique<hdfs::Transport>(*network_, spec_.hdfs,
-                                                 std::move(resolver));
+  transport_ = std::make_unique<hdfs::Transport>(*network_, spec_.hdfs);
 
   namenode_ = std::make_unique<hdfs::Namenode>(*sim_, network_->topology(),
                                                spec_.hdfs, nn_node);
@@ -97,14 +86,7 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
     auto dn = std::make_unique<hdfs::Datanode>(*sim_, *transport_, *rpc_,
                                                *namenode_, spec_.hdfs, node,
                                                options);
-    dn->set_peer_resolver(
-        [this](NodeId peer) { return resolve_datanode(peer); });
     dn->start();
-    const auto index = static_cast<std::size_t>(node.value());
-    if (datanode_by_node_.size() <= index) {
-      datanode_by_node_.resize(index + 1, nullptr);
-    }
-    datanode_by_node_[index] = dn.get();
     datanode_ids_.push_back(node);
     datanodes_.push_back(std::move(dn));
   }
@@ -117,7 +99,7 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
   // primary datanode as an RPC, mirroring the re-replication wiring.
   namenode_->enable_lease_recovery(
       [this](NodeId primary, const hdfs::UcRecoveryCommand& cmd) {
-        hdfs::Datanode* dn = resolve_datanode(primary);
+        hdfs::Datanode* dn = transport_->datanode(primary);
         if (dn == nullptr || dn->crashed()) return false;
         rpc_->notify(namenode_->node_id(), primary,
                      [dn, cmd] { dn->recover_uc_block(cmd); });
@@ -129,7 +111,7 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
   // crashed host is dropped by the bus; the heartbeat's incremental block
   // report then re-surfaces the replica and the namenode re-invalidates.
   namenode_->set_invalidation_executor([this](NodeId node, BlockId block) {
-    hdfs::Datanode* dn = resolve_datanode(node);
+    hdfs::Datanode* dn = transport_->datanode(node);
     if (dn == nullptr) return;
     rpc_->notify(namenode_->node_id(), node,
                  [dn, block] { dn->invalidate_replica(block); });
@@ -220,31 +202,6 @@ hdfs::DfsClient& Cluster::client(std::size_t client_index) {
 core::SpeedTracker& Cluster::speed_tracker(std::size_t client_index) {
   SMARTH_CHECK(client_index < clients_.size());
   return *clients_[client_index].tracker;
-}
-
-hdfs::Datanode* Cluster::resolve_datanode(NodeId node) {
-  const auto index = static_cast<std::size_t>(node.value());
-  return node.valid() && index < datanode_by_node_.size()
-             ? datanode_by_node_[index]
-             : nullptr;
-}
-
-hdfs::AckSink* Cluster::resolve_ack_sink(NodeId node, PipelineId pipeline) {
-  for (auto& stream : streams_) {
-    if (stream->client_node() == node && stream->owns_pipeline(pipeline)) {
-      return stream.get();
-    }
-  }
-  return nullptr;
-}
-
-hdfs::ReadSink* Cluster::resolve_read_sink(NodeId node, hdfs::ReadId read) {
-  for (auto& reader : readers_) {
-    if (reader->client_node() == node && reader->owns_read(read)) {
-      return reader.get();
-    }
-  }
-  return nullptr;
 }
 
 void Cluster::throttle_cross_rack(Bandwidth bw) {
@@ -420,7 +377,7 @@ void Cluster::enable_rereplication(SimDuration scan_interval) {
   namenode_->enable_rereplication(
       [this](NodeId source, NodeId target, BlockId block, Bytes length,
              std::function<void(bool)> done) {
-        hdfs::Datanode* source_dn = resolve_datanode(source);
+        hdfs::Datanode* source_dn = transport_->datanode(source);
         if (source_dn == nullptr || source_dn->crashed()) {
           done(false);
           return;
@@ -447,8 +404,6 @@ hdfs::StreamDeps Cluster::make_stream_deps(std::size_t client_index) {
       *rpc_,
       *namenode_,
       spec_.hdfs,
-      pipeline_ids_,
-      [this](NodeId node) { return resolve_datanode(node); },
       clients_[client_index].quarantine.get()};
 }
 
@@ -465,9 +420,10 @@ void Cluster::apply_placement_policy(Protocol protocol) {
 }
 
 void Cluster::prune_finished_endpoints() {
-  // Finished streams/readers cancel their pending events and drop late RPC
-  // responses via liveness tokens, so removing them here is safe; workloads
-  // that loop over thousands of transfers would otherwise accumulate them.
+  // Finished streams/readers cancel their pending events, drop late RPC
+  // responses via liveness tokens and close their transport ids when
+  // destroyed, so removing them here is safe; workloads that loop over
+  // thousands of transfers would otherwise accumulate them.
   std::erase_if(streams_,
                 [](const auto& stream) { return stream->finished(); });
   std::erase_if(readers_,
@@ -540,9 +496,8 @@ hdfs::StreamStats Cluster::run_upload(const std::string& path, Bytes size,
 }
 
 hdfs::DfsInputStream::Deps Cluster::make_read_deps() {
-  return hdfs::DfsInputStream::Deps{
-      *sim_, *transport_, *rpc_, *namenode_, spec_.hdfs, read_ids_,
-      [this](NodeId node) { return resolve_datanode(node); }};
+  return hdfs::DfsInputStream::Deps{*sim_, *transport_, *rpc_, *namenode_,
+                                    spec_.hdfs};
 }
 
 void Cluster::download(const std::string& path, DownloadCallback on_done,

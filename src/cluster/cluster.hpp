@@ -1,7 +1,7 @@
 // Assembles a runnable simulated HDFS/SMARTH cluster from a ClusterSpec:
-// event engine, network fabric, RPC bus, namenode, datanodes, clients, and
-// the message routing between them. This is the facade examples, tests and
-// benches drive.
+// event engine, network fabric, RPC bus, transport, namenode, datanodes and
+// clients, and the namenode's commands to datanodes. This is the facade
+// examples, tests and benches drive.
 #pragma once
 
 #include <functional>
@@ -188,9 +188,6 @@ class Cluster {
   hdfs::DfsInputStream::Deps make_read_deps();
   void prune_finished_endpoints();
   void apply_placement_policy(Protocol protocol);
-  hdfs::Datanode* resolve_datanode(NodeId node);
-  hdfs::AckSink* resolve_ack_sink(NodeId node, PipelineId pipeline);
-  hdfs::ReadSink* resolve_read_sink(NodeId node, hdfs::ReadId read);
   /// Shared tail of restart_namenode()/failover_namenode(): restores the
   /// process from `image` + `tail` and lifts the RPC/network isolation.
   void complete_namenode_recovery(const hdfs::NamenodeImage& image,
@@ -211,15 +208,10 @@ class Cluster {
   SimDuration last_nn_downtime_ = -1;
   std::vector<std::unique_ptr<hdfs::Datanode>> datanodes_;
   std::vector<NodeId> datanode_ids_;
-  /// Datanode by NodeId value (null for the namenode and client hosts):
-  /// every packet delivery resolves its sink through this index.
-  std::vector<hdfs::Datanode*> datanode_by_node_;
   std::vector<ClientRuntime> clients_;
   std::vector<std::unique_ptr<hdfs::OutputStreamBase>> streams_;
   std::vector<std::unique_ptr<hdfs::DfsInputStream>> readers_;
-  IdGenerator<PipelineId> pipeline_ids_;
   IdGenerator<ClientId> client_ids_;
-  IdGenerator<hdfs::ReadId> read_ids_;
   std::optional<Protocol> active_policy_;
   /// Drives the installed flight recorder on simulated time; null when no
   /// recorder is installed, so a disabled recorder schedules nothing.

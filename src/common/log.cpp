@@ -48,11 +48,7 @@ void Logger::write(LogLevel level, const std::string& component,
   line += "[";
   line += log_level_name(level);
   line += "] [" + component + "] " + message;
-  if (sink_) {
-    sink_(line);
-  } else {
-    std::fprintf(stderr, "%s\n", line.c_str());
-  }
+  std::fprintf(stderr, "%s\n", line.c_str());
 }
 
 KvLogStatement::KvLogStatement(LogLevel level, std::string component,

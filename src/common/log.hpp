@@ -37,12 +37,6 @@ class Logger {
     time_source_ = std::move(source);
   }
 
-  /// Redirects output (default: stderr). Used by tests to capture logs.
-  void set_sink(std::function<void(const std::string&)> sink) {
-    sink_ = std::move(sink);
-  }
-  void reset_sink() { sink_ = nullptr; }
-
   void write(LogLevel level, const std::string& component,
              const std::string& message);
 
@@ -50,7 +44,6 @@ class Logger {
   Logger() = default;
   LogLevel level_ = LogLevel::kWarn;
   std::function<SimTime()> time_source_;
-  std::function<void(const std::string&)> sink_;
 };
 
 /// Stream-style log statement builder.

@@ -63,7 +63,6 @@ class Bandwidth {
   constexpr Bandwidth() = default;
   static constexpr Bandwidth bits_per_second(double v) { return Bandwidth{v}; }
   static constexpr Bandwidth mbps(double v) { return Bandwidth{v * 1e6}; }
-  static constexpr Bandwidth gbps(double v) { return Bandwidth{v * 1e9}; }
   /// Disk vendors quote bytes/s; convert explicitly.
   static constexpr Bandwidth mega_bytes_per_second(double v) {
     return Bandwidth{v * 8e6};

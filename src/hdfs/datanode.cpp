@@ -40,9 +40,10 @@ Datanode::Datanode(sim::Simulation& sim, Transport& transport,
       "datanode." + self_.to_string() + ".ack_ns");
   hedge_cancelled_hist_ =
       &metrics::global_registry().histogram("hedge.cancelled_ns");
+  transport_.attach(*this);
 }
 
-Datanode::~Datanode() = default;
+Datanode::~Datanode() { transport_.detach(self_); }
 
 void Datanode::start() {
   namenode_.register_datanode(self_);
@@ -664,8 +665,6 @@ void Datanode::discard_replica(BlockId block) {
 
 void Datanode::recover_uc_block(const UcRecoveryCommand& cmd) {
   if (crashed_) return;
-  SMARTH_CHECK_MSG(static_cast<bool>(peer_resolver_),
-                   "peer resolver not installed on " << self_.to_string());
   SMARTH_INFO("datanode") << self_.to_string()
                           << " primary for commitBlockSynchronization of "
                           << cmd.block.to_string() << " ("
@@ -685,7 +684,7 @@ void Datanode::recover_uc_block(const UcRecoveryCommand& cmd) {
     // never touch replica bytes, so ordering against the probe is
     // irrelevant.
     rpc_.notify(self_, target, [this, target, block = cmd.block] {
-      Datanode* peer = peer_resolver_(target);
+      Datanode* peer = transport_.datanode(target);
       if (peer != nullptr) peer->abort_block(block);
     });
     auto settled = std::make_shared<bool>(false);
@@ -696,7 +695,7 @@ void Datanode::recover_uc_block(const UcRecoveryCommand& cmd) {
       sync->probes.emplace_back(target, result);
       if (--sync->awaiting == 0) apply_uc_sync(sync);
     };
-    Datanode* peer = peer_resolver_(target);
+    Datanode* peer = transport_.datanode(target);
     if (peer != nullptr) {
       rpc_.call<ReplicaProbeResult>(
           self_, target, [peer, block = cmd.block] {
@@ -756,7 +755,7 @@ void Datanode::apply_uc_sync(const std::shared_ptr<UcSync>& sync) {
         discard_replica(block);
       } else {
         rpc_.notify(self_, node, [this, node, block] {
-          Datanode* peer = peer_resolver_(node);
+          Datanode* peer = transport_.datanode(node);
           if (peer != nullptr) peer->discard_replica(block);
         });
       }
@@ -784,7 +783,7 @@ void Datanode::apply_uc_sync(const std::shared_ptr<UcSync>& sync) {
       *settled = true;
       settle(ok);
     };
-    Datanode* peer = peer_resolver_(node);
+    Datanode* peer = transport_.datanode(node);
     if (peer != nullptr) {
       rpc_.call<bool>(
           self_, node, [peer, block, target_len] {
@@ -839,8 +838,6 @@ void Datanode::transfer_replica(BlockId block, NodeId dest, Bytes length,
     done(false);
     return;
   }
-  SMARTH_CHECK_MSG(static_cast<bool>(peer_resolver_),
-                   "peer resolver not installed on " << self_.to_string());
   // Read the replica off the local disk, then one bulk transfer over the
   // fabric; the destination writes it durably and the completion flows back
   // through `done` (whose RPC response message is paid by the caller's
@@ -859,7 +856,7 @@ void Datanode::transfer_replica(BlockId block, NodeId dest, Bytes length,
         self_, dest, length + kPacketHeaderWire,
         [this, block, dest, length, finalize_at_dest,
          done = std::move(done)]() mutable {
-          Datanode* peer = peer_resolver_(dest);
+          Datanode* peer = transport_.datanode(dest);
           if (peer == nullptr || peer->crashed()) {
             done(false);
             return;

@@ -64,12 +64,6 @@ class Datanode : public PacketSink {
 
   NodeId node_id() const { return self_; }
 
-  /// Lets this node find peer datanodes for replica transfers; installed by
-  /// the cluster wiring.
-  void set_peer_resolver(std::function<Datanode*(NodeId)> resolver) {
-    peer_resolver_ = std::move(resolver);
-  }
-
   /// Registers with the namenode and starts heartbeating.
   void start();
   /// Hard-stops the node: no packets processed, no RPCs answered, heartbeats
@@ -239,7 +233,6 @@ class Datanode : public PacketSink {
   const HdfsConfig& config_;
   NodeId self_;
   Options options_;
-  std::function<Datanode*(NodeId)> peer_resolver_;
 
   std::unique_ptr<storage::DiskDevice> disk_;
   storage::BlockStore store_;

@@ -44,9 +44,6 @@ class DfsClient {
                    std::function<void(Result<FileId>)> cb,
                    bool overwrite = false);
 
-  /// Control-plane attempts beyond the first / calls abandoned entirely.
-  const rpc::RetryStats& retry_stats() const { return *retry_stats_; }
-
   /// Starts the periodic heartbeat. `speed_source` (may be null) supplies
   /// the transfer-speed records to piggyback; an empty vector sends a plain
   /// heartbeat.

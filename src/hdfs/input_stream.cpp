@@ -44,6 +44,7 @@ DfsInputStream::~DfsInputStream() {
   cold_start_deadline_.cancel();
   locate_retry_.cancel();
   *alive_ = false;
+  for (ReadId id : opened_reads_) deps_.transport.close_read(id);
 }
 
 void DfsInputStream::start() {
@@ -197,7 +198,8 @@ void DfsInputStream::arm_cold_start_deadline() {
 }
 
 void DfsInputStream::send_attempt(ReadAttempt& attempt, NodeId replica) {
-  attempt.read = deps_.read_ids.next();
+  attempt.read = deps_.transport.open_read(*this);
+  opened_reads_.push_back(attempt.read);
   attempt.replica = replica;
   attempt.start_offset = block_bytes_received_;
   attempt.bytes = 0;
@@ -314,11 +316,10 @@ void DfsInputStream::launch_hedge(const char* why) {
 
 void DfsInputStream::cancel_attempt(ReadAttempt& attempt, bool lost_race) {
   if (!attempt.active()) return;
-  if (lost_race && deps_.resolve_datanode) {
-    if (Datanode* dn = deps_.resolve_datanode(attempt.replica)) {
-      deps_.rpc.notify(client_node_, attempt.replica,
-                       [dn, read = attempt.read] { dn->cancel_read(read); });
-    }
+  Datanode* dn = deps_.transport.datanode(attempt.replica);
+  if (lost_race && dn != nullptr) {
+    deps_.rpc.notify(client_node_, attempt.replica,
+                     [dn, read = attempt.read] { dn->cancel_read(read); });
   }
   if (&attempt == &hedge_) set_hedges_in_flight(-1);
   attempt.reset();

@@ -24,8 +24,6 @@
 
 namespace smarth::hdfs {
 
-class Datanode;
-
 struct ReadStats {
   ClientId client;
   std::string path;
@@ -63,11 +61,6 @@ class DfsInputStream : public ReadSink {
     rpc::RpcBus& rpc;
     Namenode& namenode;
     const HdfsConfig& config;
-    IdGenerator<ReadId>& read_ids;
-    /// Resolves a datanode daemon so a decided hedge race can cancel the
-    /// losing attempt at its source; null disables cancellation (late
-    /// packets are then simply dropped by the routing layer).
-    std::function<Datanode*(NodeId)> resolve_datanode;
   };
 
   DfsInputStream(Deps deps, ClientId client, NodeId client_node,
@@ -79,12 +72,6 @@ class DfsInputStream : public ReadSink {
 
   bool finished() const { return finished_; }
   const ReadStats& stats() const { return stats_; }
-  /// Routing support for the cluster wiring. A hedged block has two live
-  /// read ids (primary + hedge); packets for either belong to this stream.
-  bool owns_read(ReadId id) const {
-    return id == primary_.read || id == hedge_.read;
-  }
-  NodeId client_node() const { return client_node_; }
 
   // --- ReadSink ---------------------------------------------------------------
   void deliver_read_packet(const ReadPacket& packet) override;
@@ -180,6 +167,10 @@ class DfsInputStream : public ReadSink {
   std::size_t current_block_ = 0;
   ReadAttempt primary_;
   ReadAttempt hedge_;
+  /// Every read id this stream opened on the transport (closed by the
+  /// destructor). A hedged block has two live ids, primary and hedge;
+  /// packets for any other id are dropped on arrival.
+  std::vector<ReadId> opened_reads_;
   /// High-water mark of contiguous payload delivered for the current block by
   /// either attempt; stats_.bytes_read counts only watermark advances so a
   /// hedge race never double-counts the overlap.

@@ -500,12 +500,6 @@ void Namenode::report_bad_replica(BlockId block, NodeId node) {
   }
 }
 
-std::size_t Namenode::corrupt_replica_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, record] : blocks_) n += record.corrupt_replicas.size();
-  return n;
-}
-
 void Namenode::report_slow_datanode(NodeId node, double weight) {
   suspicion_.report(node, weight, sim_.now());
   metrics::global_registry().counter("namenode.slow_node_reports").add();
@@ -561,10 +555,6 @@ void Namenode::enable_lease_recovery(UcRecoveryExecutor executor,
   lease_task_ = std::make_unique<sim::PeriodicTask>(
       sim_, scan_interval, [this] { lease_scan(); });
   lease_task_->start();
-}
-
-void Namenode::disable_lease_recovery() {
-  if (lease_task_) lease_task_->stop();
 }
 
 void Namenode::lease_scan() {
@@ -899,10 +889,6 @@ void Namenode::enable_rereplication(ReplicationExecutor executor,
   rereplication_task_->start();
 }
 
-void Namenode::disable_rereplication() {
-  if (rereplication_task_) rereplication_task_->stop();
-}
-
 void Namenode::scan_for_under_replication() {
   // Safe mode defers re-replication: a replica map mid-rebuild makes every
   // block look under-replicated and would trigger a pointless copy storm.
@@ -1215,7 +1201,6 @@ std::size_t Namenode::restart(const NamenodeImage& image,
               << " replica coverage; exiting with what we have";
           safe_mode_ = false;
           safe_mode_auto_ = false;
-          last_safe_mode_exit_ = sim_.now();
           metrics::global_registry().counter("namenode.safe_mode_exits").add();
           trace_nn(trace::Category::kFault, "safe mode timeout-exit", {});
         });
@@ -1261,7 +1246,6 @@ void Namenode::maybe_exit_safe_mode() {
   if (fraction + 1e-9 < kSafeModeThreshold) return;
   safe_mode_ = false;
   safe_mode_auto_ = false;
-  last_safe_mode_exit_ = sim_.now();
   safe_mode_timeout_.cancel();
   metrics::global_registry().counter("namenode.safe_mode_exits").add();
   trace_nn(trace::Category::kFault, "safe mode exit",

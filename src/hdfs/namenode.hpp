@@ -147,8 +147,6 @@ class Namenode {
   /// Fraction of closed-file blocks with >=1 reported non-corrupt replica
   /// (the safe-mode exit criterion; 1.0 for an empty namespace).
   double safe_blocks_fraction() const;
-  /// Time of the most recent automatic safe-mode exit (-1 if never).
-  SimTime last_safe_mode_exit() const { return last_safe_mode_exit_; }
 
   // --- Datanode lifecycle ----------------------------------------------------
   void register_datanode(NodeId dn);
@@ -216,7 +214,6 @@ class Namenode {
   /// freshly placed node (HDFS's under-replicated block queue).
   void enable_rereplication(ReplicationExecutor executor,
                             SimDuration scan_interval = seconds(5));
-  void disable_rereplication();
   std::uint64_t rereplications_scheduled() const {
     return rereplications_scheduled_;
   }
@@ -245,8 +242,6 @@ class Namenode {
   void report_bad_replica(BlockId block, NodeId node);
 
   std::uint64_t invalidations_issued() const { return invalidations_issued_; }
-  /// Total (block, node) pairs currently quarantined.
-  std::size_t corrupt_replica_count() const;
 
   // --- Gray-failure suspicion --------------------------------------------------
   /// Client slowness evidence: a write pipeline evicted `node` as a
@@ -279,7 +274,6 @@ class Namenode {
   /// that exhaust their attempts).
   void enable_lease_recovery(UcRecoveryExecutor executor,
                              SimDuration scan_interval = 0);
-  void disable_lease_recovery();
 
   /// Forces lease recovery of an open file (also invoked internally on
   /// hard expiry and by create-takeover past the soft limit).
@@ -314,7 +308,6 @@ class Namenode {
   const FileEntry* file(FileId id) const;
   const FileEntry* file_by_path(const std::string& path) const;
   const BlockRecord* block(BlockId id) const;
-  std::size_t file_count() const { return files_.size(); }
   std::size_t block_count() const { return blocks_.size(); }
   std::uint64_t heartbeats_received() const { return heartbeats_; }
 
@@ -361,7 +354,6 @@ class Namenode {
   /// Datanodes registered before the last crash; safe mode holds until that
   /// many have re-registered (in addition to the replica threshold).
   std::size_t safe_mode_min_datanodes_ = 0;
-  SimTime last_safe_mode_exit_ = -1;
 
   EditLog* edit_log_ = nullptr;
   /// True while apply_edit runs under restart(): suppresses journaling from

@@ -42,7 +42,10 @@ OutputStreamBase::OutputStreamBase(StreamDeps deps, ClientId client,
   bytes_acked_counter_ = &metrics::global_registry().counter("client.bytes_acked");
 }
 
-OutputStreamBase::~OutputStreamBase() { *alive_ = false; }
+OutputStreamBase::~OutputStreamBase() {
+  *alive_ = false;
+  for (PipelineId id : opened_pipelines_) deps_.transport.close_pipeline(id);
+}
 
 void OutputStreamBase::start() {
   stats_.started_at = deps_.sim.now();
@@ -286,7 +289,8 @@ ClientPipeline& OutputStreamBase::create_pipeline(std::int64_t block_index,
                                                   const LocatedBlock& located,
                                                   Bytes resume_offset,
                                                   bool smarth_mode) {
-  const PipelineId id = deps_.pipeline_ids.next();
+  const PipelineId id = deps_.transport.open_pipeline(*this);
+  opened_pipelines_.push_back(id);
   ClientPipeline pipeline;
   pipeline.id = id;
   pipeline.block_index = block_index;
@@ -734,6 +738,7 @@ void DfsOutputStream::deliver_ack(const PipelineAck& ack) {
 }
 
 void DfsOutputStream::deliver_fnfa(const FnfaMessage& fnfa) {
+  if (find_pipeline(fnfa.pipeline) == nullptr) return;
   // The baseline protocol has no FNFA; a stray one indicates mis-wiring.
   SMARTH_WARN("stream") << "unexpected FNFA on baseline stream for "
                         << fnfa.block.to_string();

@@ -39,11 +39,6 @@ struct StreamDeps {
   rpc::RpcBus& rpc;
   Namenode& namenode;
   const HdfsConfig& config;
-  /// Cluster-wide pipeline id source: datanodes key pipeline state by id, so
-  /// ids must be unique across every client and stream.
-  IdGenerator<PipelineId>& pipeline_ids;
-  /// Resolves datanode RPC endpoints (installed by the cluster wiring).
-  std::function<Datanode*(NodeId)> datanode_resolver;
   /// Per-client quarantine list (may be null in minimal test harnesses):
   /// recovery feeds failures into it; placement requests deprioritize its
   /// members.
@@ -164,11 +159,6 @@ class OutputStreamBase : public AckSink {
 
   const StreamStats& stats() const { return stats_; }
   bool finished() const { return finished_; }
-  /// Used by the cluster wiring to route ACK/FNFA messages to the stream
-  /// that owns the pipeline.
-  bool owns_pipeline(PipelineId id) const {
-    return pipelines_.find(id) != pipelines_.end();
-  }
   /// Number of pipelines currently in flight (for live sampling).
   std::size_t active_pipeline_count() const { return pipelines_.size(); }
   FileId file() const { return file_; }
@@ -271,6 +261,9 @@ class OutputStreamBase : public AckSink {
   /// Produced packets not yet assigned to a pipeline, in file order.
   std::deque<ProducedPacket> data_queue_;
   std::unordered_map<PipelineId, ClientPipeline> pipelines_;
+  /// Every pipeline id this stream opened on the transport (closed by the
+  /// destructor; ACKs for ids no longer in pipelines_ are dropped on arrival).
+  std::vector<PipelineId> opened_pipelines_;
   /// Recovery operations in flight or retired (kept alive until the stream
   /// dies; recovery objects must outlive their async callbacks).
   std::vector<std::unique_ptr<BlockRecovery>> recoveries_;

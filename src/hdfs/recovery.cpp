@@ -11,7 +11,7 @@ namespace smarth::hdfs {
 void probe_replica_with_timeout(StreamDeps& deps, NodeId client_node,
                                 NodeId datanode, BlockId block,
                                 std::function<void(ReplicaProbeResult)> cb) {
-  Datanode* dn = deps.datanode_resolver(datanode);
+  Datanode* dn = deps.transport.datanode(datanode);
   if (dn == nullptr) {
     deps.sim.schedule_now(
         [cb = std::move(cb)] { cb(ReplicaProbeResult{}); });
@@ -56,7 +56,7 @@ void BlockRecovery::run() {
   // Step 1 (Alg. 3 line 2): close all streams related to the block — abort
   // the pipeline at every target. Best effort: dead nodes drop the message.
   for (NodeId target : original_targets_) {
-    Datanode* dn = deps_.datanode_resolver(target);
+    Datanode* dn = deps_.transport.datanode(target);
     if (dn == nullptr) continue;
     deps_.rpc.notify(client_node_, target,
                      [dn, p = pipeline_] { dn->abort_pipeline(p); });
@@ -167,7 +167,7 @@ void BlockRecovery::truncate_survivors() {
   };
 
   for (NodeId node : alive_) {
-    Datanode* dn = deps_.datanode_resolver(node);
+    Datanode* dn = deps_.transport.datanode(node);
     if (dn == nullptr) {
       deps_.sim.schedule_now([node, step_done] { step_done(node, false); });
       continue;
@@ -264,7 +264,7 @@ void BlockRecovery::transfer_prefix(std::size_t replacement_index) {
     return;
   }
   const NodeId primary = alive_[static_cast<std::size_t>(attempts_)];
-  Datanode* primary_dn = deps_.datanode_resolver(primary);
+  Datanode* primary_dn = deps_.transport.datanode(primary);
   const NodeId dest = replacements_[replacement_index];
   if (primary_dn == nullptr) {
     ++attempts_;

@@ -1,6 +1,7 @@
 #include "hdfs/transport.hpp"
 
 #include "common/check.hpp"
+#include "hdfs/datanode.hpp"
 
 namespace smarth::hdfs {
 
@@ -17,20 +18,85 @@ net::Network::DeliveryCallback inline_delivery(F&& deliver) {
                 "packet-path delivery lambda outgrew SmallFn inline storage");
   return net::Network::DeliveryCallback(std::forward<F>(deliver));
 }
+
+template <typename T, typename Id>
+T* lookup(const std::vector<T*>& table, Id id) {
+  const auto index = static_cast<std::size_t>(id.value());
+  return id.valid() && index < table.size() ? table[index] : nullptr;
+}
+
+template <typename T, typename Id>
+void store(std::vector<T*>& table, Id id, T* entry) {
+  SMARTH_CHECK(id.valid());
+  const auto index = static_cast<std::size_t>(id.value());
+  if (table.size() <= index) table.resize(index + 1, nullptr);
+  table[index] = entry;
+}
+
+template <typename T, typename Id>
+Id open(std::vector<T*>& table, T& sink) {
+  const Id id{static_cast<std::int64_t>(table.size())};
+  table.push_back(&sink);
+  return id;
+}
 }  // namespace
 
-Transport::Transport(net::Network& network, const HdfsConfig& config,
-                     SinkResolver resolver)
-    : network_(network), config_(config), resolver_(std::move(resolver)) {
-  SMARTH_CHECK(static_cast<bool>(resolver_.packet_sink));
-  SMARTH_CHECK(static_cast<bool>(resolver_.ack_sink));
+Transport::Transport(net::Network& network, const HdfsConfig& config)
+    : network_(network), config_(config) {}
+
+void Transport::attach(Datanode& datanode) {
+  attach(datanode.node_id(), datanode);
+  store(datanodes_, datanode.node_id(), &datanode);
+}
+
+void Transport::attach(NodeId node, PacketSink& sink) {
+  SMARTH_CHECK_MSG(packet_sink(node) == nullptr,
+                   node.to_string() << " is already attached");
+  store(node_sinks_, node, &sink);
+}
+
+void Transport::detach(NodeId node) {
+  store<PacketSink>(node_sinks_, node, nullptr);
+  store<Datanode>(datanodes_, node, nullptr);
+}
+
+Datanode* Transport::datanode(NodeId node) const {
+  return lookup(datanodes_, node);
+}
+
+PipelineId Transport::open_pipeline(AckSink& sink) {
+  return open<AckSink, PipelineId>(pipeline_sinks_, sink);
+}
+
+void Transport::close_pipeline(PipelineId id) {
+  store<AckSink>(pipeline_sinks_, id, nullptr);
+}
+
+ReadId Transport::open_read(ReadSink& sink) {
+  return open<ReadSink, ReadId>(read_sinks_, sink);
+}
+
+void Transport::close_read(ReadId id) {
+  store<ReadSink>(read_sinks_, id, nullptr);
+}
+
+PacketSink* Transport::packet_sink(NodeId node) const {
+  return lookup(node_sinks_, node);
+}
+
+AckSink* Transport::ack_sink(PipelineId pipeline) const {
+  return lookup(pipeline_sinks_, pipeline);
+}
+
+ReadSink* Transport::read_sink(ReadId read) const {
+  return lookup(read_sinks_, read);
 }
 
 void Transport::send_setup(NodeId from, NodeId to, PipelineSetup setup) {
   network_.send(
       from, to, kSetupWire,
       [this, to, setup = std::move(setup)] {
-        if (PacketSink* sink = resolver_.packet_sink(to)) {
+        if (PacketSink* sink = packet_sink(to)) {
           sink->deliver_setup(setup);
         }
       },
@@ -44,7 +110,7 @@ void Transport::send_packet(NodeId from, NodeId to, WirePacket packet) {
       static_cast<net::FlowKey>(packet.pipeline.value()) + 1;
   network_.send(from, to, config_.transfer_wire_size(packet.payload),
                 inline_delivery([this, to, packet] {
-                  if (PacketSink* sink = resolver_.packet_sink(to)) {
+                  if (PacketSink* sink = packet_sink(to)) {
                     sink->deliver_packet(packet);
                   }
                 }),
@@ -55,7 +121,7 @@ void Transport::send_ack_to_datanode(NodeId from, NodeId to, PipelineAck ack) {
   network_.send(
       from, to, kAckWire,
       inline_delivery([this, to, ack] {
-        if (PacketSink* sink = resolver_.packet_sink(to)) {
+        if (PacketSink* sink = packet_sink(to)) {
           sink->deliver_downstream_ack(ack);
         }
       }),
@@ -65,8 +131,8 @@ void Transport::send_ack_to_datanode(NodeId from, NodeId to, PipelineAck ack) {
 void Transport::send_ack_to_client(NodeId from, NodeId to, PipelineAck ack) {
   network_.send(
       from, to, kAckWire,
-      inline_delivery([this, to, ack] {
-        if (AckSink* sink = resolver_.ack_sink(to, ack.pipeline)) {
+      inline_delivery([this, ack] {
+        if (AckSink* sink = ack_sink(ack.pipeline)) {
           sink->deliver_ack(ack);
         }
       }),
@@ -78,7 +144,7 @@ void Transport::send_setup_ack_to_datanode(NodeId from, NodeId to,
   network_.send(
       from, to, kAckWire,
       inline_delivery([this, to, ack] {
-        if (PacketSink* sink = resolver_.packet_sink(to)) {
+        if (PacketSink* sink = packet_sink(to)) {
           sink->deliver_downstream_setup_ack(ack);
         }
       }),
@@ -89,8 +155,8 @@ void Transport::send_setup_ack_to_client(NodeId from, NodeId to,
                                          SetupAck ack) {
   network_.send(
       from, to, kAckWire,
-      inline_delivery([this, to, ack] {
-        if (AckSink* sink = resolver_.ack_sink(to, ack.pipeline)) {
+      inline_delivery([this, ack] {
+        if (AckSink* sink = ack_sink(ack.pipeline)) {
           sink->deliver_setup_ack(ack);
         }
       }),
@@ -100,8 +166,8 @@ void Transport::send_setup_ack_to_client(NodeId from, NodeId to,
 void Transport::send_fnfa(NodeId from, NodeId to, FnfaMessage fnfa) {
   network_.send(
       from, to, kFnfaWire,
-      inline_delivery([this, to, fnfa] {
-        if (AckSink* sink = resolver_.ack_sink(to, fnfa.pipeline)) {
+      inline_delivery([this, fnfa] {
+        if (AckSink* sink = ack_sink(fnfa.pipeline)) {
           sink->deliver_fnfa(fnfa);
         }
       }),
@@ -113,7 +179,7 @@ void Transport::send_read_request(NodeId from, NodeId to,
   network_.send(
       from, to, kSetupWire,
       inline_delivery([this, to, request] {
-        if (PacketSink* sink = resolver_.packet_sink(to)) {
+        if (PacketSink* sink = packet_sink(to)) {
           sink->deliver_read_request(request);
         }
       }),
@@ -130,11 +196,9 @@ void Transport::send_read_packet(NodeId from, NodeId to, ReadPacket packet) {
       (net::FlowKey{1} << 32) + static_cast<net::FlowKey>(packet.read.value());
   network_.send(
       from, to, wire,
-      inline_delivery([this, to, packet] {
-        if (resolver_.read_sink) {
-          if (ReadSink* sink = resolver_.read_sink(to, packet.read)) {
-            sink->deliver_read_packet(packet);
-          }
+      inline_delivery([this, packet] {
+        if (ReadSink* sink = read_sink(packet.read)) {
+          sink->deliver_read_packet(packet);
         }
       }),
       priority, flow);

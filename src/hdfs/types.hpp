@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -360,16 +359,6 @@ class AckSink {
   virtual void deliver_ack(const PipelineAck& ack) = 0;
   virtual void deliver_setup_ack(const SetupAck& ack) = 0;
   virtual void deliver_fnfa(const FnfaMessage& fnfa) = 0;
-};
-
-/// Resolves a node id to its packet/ack handler. The cluster wiring layer
-/// provides these so that datanodes and clients never hold raw pointers to
-/// one another's concrete types.
-struct SinkResolver {
-  std::function<PacketSink*(NodeId)> packet_sink;
-  std::function<AckSink*(NodeId, PipelineId)> ack_sink;
-  /// Optional: read routing (clusters without readers may omit it).
-  std::function<ReadSink*(NodeId, ReadId)> read_sink;
 };
 
 std::string to_string(AckStatus status);

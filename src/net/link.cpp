@@ -11,11 +11,6 @@ Link::Link(sim::Simulation& sim, std::string name, Bandwidth capacity,
   SMARTH_CHECK_MSG(latency_ >= 0, "negative link latency on " << name_);
 }
 
-void Link::set_latency(SimDuration latency) {
-  SMARTH_CHECK(latency >= 0);
-  latency_ = latency;
-}
-
 std::uint32_t Link::acquire_slot(Bytes size, DeliveryCallback cb) {
   std::uint32_t slot = free_slots_;
   if (slot != kNoSlot) {

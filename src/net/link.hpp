@@ -44,7 +44,6 @@ class Link {
   /// Changes the capacity; applies to transmissions that start afterwards
   /// (matching `tc qdisc change` semantics).
   void set_capacity(Bandwidth capacity) { capacity_ = capacity; }
-  void set_latency(SimDuration latency);
 
   /// Enqueues a message; `on_delivered` fires once it is fully serialized and
   /// has propagated. Zero-size messages still pay the latency. Bulk messages

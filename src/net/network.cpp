@@ -155,10 +155,6 @@ const Link& Network::egress_link(NodeId node) const {
   return *port(node).egress;
 }
 
-const Link& Network::ingress_link(NodeId node) const {
-  return *port(node).ingress;
-}
-
 Bytes Network::bytes_sent(NodeId node) const {
   return port(node).egress->bytes_transmitted();
 }

@@ -106,7 +106,6 @@ class Network {
 
   // --- Introspection --------------------------------------------------------
   const Link& egress_link(NodeId node) const;
-  const Link& ingress_link(NodeId node) const;
   Bytes bytes_sent(NodeId node) const;
   Bytes bytes_received(NodeId node) const;
   std::uint64_t messages_delivered() const { return messages_delivered_; }

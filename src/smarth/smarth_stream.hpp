@@ -28,7 +28,6 @@ class SmarthOutputStream : public hdfs::OutputStreamBase {
   void deliver_fnfa(const hdfs::FnfaMessage& fnfa) override;
 
   // --- Introspection ----------------------------------------------------------
-  int active_pipelines() const { return static_cast<int>(pipelines_.size()); }
   std::uint64_t fnfa_received() const { return fnfa_received_; }
   std::uint64_t slot_waits() const { return slot_waits_; }
 

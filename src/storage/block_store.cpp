@@ -192,15 +192,4 @@ bool BlockStore::verify_range(BlockId block, Bytes offset, Bytes length) const {
   return true;
 }
 
-std::vector<std::size_t> BlockStore::corrupt_chunks(BlockId block) const {
-  std::vector<std::size_t> out;
-  auto it = replicas_.find(block);
-  if (it == replicas_.end()) return out;
-  for (std::size_t i = 0; i < it->second.chunks.size(); ++i) {
-    const Chunk& c = it->second.chunks[i];
-    if (crc32c_of_u64(c.data) != c.crc) out.push_back(i);
-  }
-  return out;
-}
-
 }  // namespace smarth::storage

@@ -81,9 +81,6 @@ class BlockStore {
   /// when all of them check out. Unknown blocks / out-of-range spans fail.
   bool verify_range(BlockId block, Bytes offset, Bytes length) const;
 
-  /// Sorted indices of chunks whose verification currently fails.
-  std::vector<std::size_t> corrupt_chunks(BlockId block) const;
-
   /// Total rot_chunk() calls that flipped a clean chunk.
   std::uint64_t chunks_rotted() const { return chunks_rotted_; }
 

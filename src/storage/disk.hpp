@@ -26,7 +26,6 @@ class DiskDevice {
   Bandwidth write_bandwidth() const { return write_bandwidth_; }
   void set_write_bandwidth(Bandwidth bw) { write_bandwidth_ = bw; }
   Bandwidth read_bandwidth() const;
-  void set_read_bandwidth(Bandwidth bw) { read_bandwidth_ = bw; }
 
   /// Enqueues a write of `size` bytes; `on_done` fires when it is durable.
   void write(Bytes size, WriteCallback on_done);
@@ -44,7 +43,6 @@ class DiskDevice {
   /// Expected service time for one write of `size` (used by the analytic
   /// model to derive Tw).
   SimDuration service_time(Bytes size) const;
-  SimDuration read_service_time(Bytes size) const;
 
   // --- Statistics -----------------------------------------------------------
   bool busy() const { return busy_; }
@@ -70,7 +68,6 @@ class DiskDevice {
   sim::Simulation& sim_;
   std::string name_;
   Bandwidth write_bandwidth_;
-  Bandwidth read_bandwidth_;  ///< unlimited sentinel => derived from write
   SimDuration per_op_overhead_;
 
   sim::RingQueue<Pending> queue_;

@@ -28,8 +28,6 @@ class UploadWorkload {
   UploadWorkload& add(const std::string& path, Bytes size,
                       SimDuration start_at = 0, std::size_t client_index = 0);
 
-  std::size_t job_count() const { return jobs_.size(); }
-
   /// Schedules every job on the cluster and runs the simulation until all
   /// uploads finish. Returns per-job stats in job order.
   std::vector<hdfs::StreamStats> run(cluster::Cluster& cluster);

@@ -8,10 +8,7 @@
 
 #include <deque>
 
-#include "hdfs/transport.hpp"
-#include "net/network.hpp"
-#include "rpc/rpc_bus.hpp"
-#include "sim/simulation.hpp"
+#include "mini_cluster.hpp"
 
 namespace smarth::hdfs {
 namespace {
@@ -31,48 +28,14 @@ class FakeClient : public AckSink {
   std::deque<FnfaMessage> fnfas;
 };
 
-class DatanodeTest : public ::testing::Test {
+/// A three-datanode pipeline on one rack, 4 packets per block.
+class DatanodeTest : public MiniClusterTest {
  protected:
-  DatanodeTest() : sim_(1), net_(sim_) {
-    config_.packet_payload = 64 * kKiB;
-    config_.block_size = 4 * config_.packet_payload;  // 4 packets per block
-    nn_node_ = net_.add_node("nn", "/r0", Bandwidth::mbps(1000));
-    client_node_ = net_.add_node("client", "/r0", Bandwidth::mbps(1000));
-    for (int i = 0; i < 3; ++i) {
-      dn_nodes_.push_back(
-          net_.add_node("dn" + std::to_string(i), "/r0",
-                        Bandwidth::mbps(1000)));
-    }
-    SinkResolver resolver;
-    resolver.packet_sink = [this](NodeId node) -> PacketSink* {
-      for (std::size_t i = 0; i < dn_nodes_.size(); ++i) {
-        if (dn_nodes_[i] == node) return dns_[i].get();
-      }
-      return nullptr;
-    };
-    resolver.ack_sink = [this](NodeId node, PipelineId) -> AckSink* {
-      return node == client_node_ ? &client_ : nullptr;
-    };
-    transport_ = std::make_unique<Transport>(net_, config_, resolver);
-    namenode_ = std::make_unique<Namenode>(sim_, net_.topology(), config_,
-                                           nn_node_);
-    for (NodeId node : dn_nodes_) {
-      auto dn = std::make_unique<Datanode>(sim_, *transport_, rpc_, *namenode_,
-                                           config_, node);
-      dn->set_peer_resolver([this](NodeId peer) -> Datanode* {
-        for (std::size_t i = 0; i < dn_nodes_.size(); ++i) {
-          if (dn_nodes_[i] == peer) return dns_[i].get();
-        }
-        return nullptr;
-      });
-      dn->start();
-      dns_.push_back(std::move(dn));
-    }
-  }
+  DatanodeTest() : MiniClusterTest(4, {"/r0", "/r0", "/r0"}) {}
 
   PipelineSetup make_setup(bool smarth, Bytes resume = 0) {
     PipelineSetup setup;
-    setup.pipeline = PipelineId{1};
+    setup.pipeline = transport_.open_pipeline(client_);
     setup.block = BlockId{10};
     setup.targets = dn_nodes_;
     setup.client_node = client_node_;
@@ -89,7 +52,7 @@ class DatanodeTest : public ::testing::Test {
   }
 
   void send_setup_and_wait(const PipelineSetup& setup) {
-    transport_->send_setup(client_node_, setup.targets[0], setup);
+    transport_.send_setup(client_node_, setup.targets[0], setup);
     settle();
     ASSERT_EQ(client_.setup_acks.size(), 1u);
     ASSERT_TRUE(client_.setup_acks.front().success);
@@ -105,20 +68,11 @@ class DatanodeTest : public ::testing::Test {
       packet.payload = config_.packet_payload;
       packet.last_in_block = (start_seq + i + 1) * config_.packet_payload >=
                              config_.block_size;
-      transport_->send_packet(client_node_, setup.targets[0], packet);
+      transport_.send_packet(client_node_, setup.targets[0], packet);
     }
     settle();
   }
 
-  sim::Simulation sim_;
-  net::Network net_;
-  HdfsConfig config_;
-  rpc::RpcBus rpc_{net_};
-  NodeId nn_node_, client_node_;
-  std::vector<NodeId> dn_nodes_;
-  std::unique_ptr<Transport> transport_;
-  std::unique_ptr<Namenode> namenode_;
-  std::vector<std::unique_ptr<Datanode>> dns_;
   FakeClient client_;
 };
 
@@ -183,12 +137,12 @@ TEST_F(DatanodeTest, BlockReceivedReportedToNamenode) {
   setup.block = located.value().block;
   setup.targets = located.value().targets;
   // Rewire against the actual chosen targets.
-  transport_->send_setup(client_node_, setup.targets[0], setup);
+  transport_.send_setup(client_node_, setup.targets[0], setup);
   settle();
   for (int i = 0; i < 4; ++i) {
     WirePacket packet{setup.pipeline, setup.block, i, config_.packet_payload,
                       i == 3};
-    transport_->send_packet(client_node_, setup.targets[0], packet);
+    transport_.send_packet(client_node_, setup.targets[0], packet);
   }
   settle();
   const BlockRecord* record = namenode_->block(setup.block);
@@ -333,7 +287,7 @@ TEST_F(DatanodeTest, ResumeSetupContinuesMidBlock) {
   }
   client_.setup_acks.clear();
   PipelineSetup resumed = setup;
-  resumed.pipeline = PipelineId{2};
+  resumed.pipeline = transport_.open_pipeline(client_);
   resumed.resume_offset = 2 * config_.packet_payload;
   send_setup_and_wait(resumed);
   send_block_packets(resumed, 2, /*start_seq=*/2);

@@ -6,49 +6,15 @@
 
 #include <gtest/gtest.h>
 
-#include "hdfs/datanode.hpp"
-#include "hdfs/transport.hpp"
-#include "net/network.hpp"
-#include "rpc/rpc_bus.hpp"
-#include "sim/simulation.hpp"
+#include "mini_cluster.hpp"
 
 namespace smarth::hdfs {
 namespace {
 
-class InputStreamTest : public ::testing::Test {
+class InputStreamTest : public MiniClusterTest {
  protected:
-  InputStreamTest() : sim_(1), net_(sim_) {
-    config_.packet_payload = 64 * kKiB;
-    config_.block_size = 4 * config_.packet_payload;
+  InputStreamTest() : MiniClusterTest(4, {"/r0", "/r1", "/r1"}) {
     config_.ack_timeout = seconds(1);
-    nn_node_ = net_.add_node("nn", "/r0", Bandwidth::mbps(1000));
-    client_node_ = net_.add_node("client", "/r0", Bandwidth::mbps(1000));
-    dn_nodes_.push_back(net_.add_node("dn0", "/r0", Bandwidth::mbps(1000)));
-    dn_nodes_.push_back(net_.add_node("dn1", "/r1", Bandwidth::mbps(1000)));
-    dn_nodes_.push_back(net_.add_node("dn2", "/r1", Bandwidth::mbps(1000)));
-
-    SinkResolver resolver;
-    resolver.packet_sink = [this](NodeId node) -> PacketSink* {
-      for (std::size_t i = 0; i < dn_nodes_.size(); ++i) {
-        if (dn_nodes_[i] == node) return dns_[i].get();
-      }
-      return nullptr;
-    };
-    resolver.ack_sink = [](NodeId, PipelineId) -> AckSink* { return nullptr; };
-    resolver.read_sink = [this](NodeId node, ReadId id) -> ReadSink* {
-      return (reader_ && node == client_node_ && reader_->owns_read(id))
-                 ? reader_.get()
-                 : nullptr;
-    };
-    transport_ = std::make_unique<Transport>(net_, config_, resolver);
-    namenode_ = std::make_unique<Namenode>(sim_, net_.topology(), config_,
-                                           nn_node_);
-    for (NodeId node : dn_nodes_) {
-      auto dn = std::make_unique<Datanode>(sim_, *transport_, rpc_, *namenode_,
-                                           config_, node);
-      dn->start();
-      dns_.push_back(std::move(dn));
-    }
   }
 
   /// Registers a one-block file whose finalized replicas live on the given
@@ -78,8 +44,7 @@ class InputStreamTest : public ::testing::Test {
   ReadStats read_file(const std::string& path) {
     ReadStats stats;
     bool done = false;
-    DfsInputStream::Deps deps{sim_, *transport_, rpc_, *namenode_, config_,
-                              read_ids_, nullptr};
+    DfsInputStream::Deps deps{sim_, transport_, rpc_, *namenode_, config_};
     reader_ = std::make_unique<DfsInputStream>(
         deps, ClientId{0}, client_node_, path,
         [&](const ReadStats& s) {
@@ -94,17 +59,7 @@ class InputStreamTest : public ::testing::Test {
     return stats;
   }
 
-  sim::Simulation sim_;
-  net::Network net_;
-  HdfsConfig config_;
-  rpc::RpcBus rpc_{net_};
-  NodeId nn_node_, client_node_;
-  std::vector<NodeId> dn_nodes_;
-  std::unique_ptr<Transport> transport_;
-  std::unique_ptr<Namenode> namenode_;
-  std::vector<std::unique_ptr<Datanode>> dns_;
   std::unique_ptr<DfsInputStream> reader_;
-  IdGenerator<ReadId> read_ids_;
 };
 
 TEST_F(InputStreamTest, ReadsStagedBlock) {

@@ -6,54 +6,17 @@
 
 #include <gtest/gtest.h>
 
-#include "hdfs/datanode.hpp"
-#include "hdfs/transport.hpp"
-#include "net/network.hpp"
-#include "rpc/rpc_bus.hpp"
-#include "sim/simulation.hpp"
+#include "mini_cluster.hpp"
 
 namespace smarth::hdfs {
 namespace {
 
-class RecoveryTest : public ::testing::Test {
+/// Three datanodes on /r0 and two on /r1, 8 packets per block.
+class RecoveryTest : public MiniClusterTest {
  protected:
-  RecoveryTest() : sim_(1), net_(sim_) {
-    config_.packet_payload = 64 * kKiB;
-    config_.block_size = 8 * config_.packet_payload;
-    nn_node_ = net_.add_node("nn", "/r0", Bandwidth::mbps(1000));
-    client_node_ = net_.add_node("client", "/r0", Bandwidth::mbps(1000));
-    for (int i = 0; i < 5; ++i) {
-      dn_nodes_.push_back(net_.add_node("dn" + std::to_string(i),
-                                        i < 3 ? "/r0" : "/r1",
-                                        Bandwidth::mbps(1000)));
-    }
-    SinkResolver resolver;
-    resolver.packet_sink = [this](NodeId node) -> PacketSink* {
-      return datanode_of(node);
-    };
-    resolver.ack_sink = [](NodeId, PipelineId) -> AckSink* { return nullptr; };
-    transport_ = std::make_unique<Transport>(net_, config_, resolver);
-    namenode_ = std::make_unique<Namenode>(sim_, net_.topology(), config_,
-                                           nn_node_);
-    for (NodeId node : dn_nodes_) {
-      auto dn = std::make_unique<Datanode>(sim_, *transport_, rpc_, *namenode_,
-                                           config_, node);
-      dn->set_peer_resolver(
-          [this](NodeId peer) -> Datanode* { return datanode_of(peer); });
-      dn->start();
-      dns_.push_back(std::move(dn));
-    }
+  RecoveryTest() : MiniClusterTest(8, {"/r0", "/r0", "/r0", "/r1", "/r1"}) {
     deps_ = std::make_unique<StreamDeps>(StreamDeps{
-        sim_, *transport_, rpc_, *namenode_, config_, pipeline_ids_,
-        [this](NodeId node) -> Datanode* { return datanode_of(node); }});
-    deps_->quarantine = &quarantine_;
-  }
-
-  Datanode* datanode_of(NodeId node) {
-    for (std::size_t i = 0; i < dn_nodes_.size(); ++i) {
-      if (dn_nodes_[i] == node) return dns_[i].get();
-    }
-    return nullptr;
+        sim_, transport_, rpc_, *namenode_, config_, &quarantine_});
   }
 
   /// Gives datanode `i` an open replica with `packets` stored packets.
@@ -87,16 +50,6 @@ class RecoveryTest : public ::testing::Test {
     return result.value();
   }
 
-  sim::Simulation sim_;
-  net::Network net_;
-  HdfsConfig config_;
-  rpc::RpcBus rpc_{net_};
-  NodeId nn_node_, client_node_;
-  std::vector<NodeId> dn_nodes_;
-  std::unique_ptr<Transport> transport_;
-  std::unique_ptr<Namenode> namenode_;
-  std::vector<std::unique_ptr<Datanode>> dns_;
-  IdGenerator<PipelineId> pipeline_ids_;
   std::unique_ptr<StreamDeps> deps_;
   QuarantineList quarantine_{sim_, seconds(60)};
 };
@@ -161,7 +114,7 @@ TEST_F(RecoveryTest, DeadTargetReplacedAndSeeded) {
   // Replacement is a fresh node (3 or 4) holding the synced prefix.
   const NodeId replacement = outcome.value().targets[2];
   EXPECT_TRUE(replacement == dn_nodes_[3] || replacement == dn_nodes_[4]);
-  Datanode* dn = datanode_of(replacement);
+  Datanode* dn = transport_.datanode(replacement);
   EXPECT_EQ(dn->block_store().replica(block).value().bytes,
             outcome.value().sync_offset);
 }
@@ -309,7 +262,7 @@ TEST_F(RecoveryTest, RepeatedRecoveryOfSameBlockConverges) {
   ASSERT_EQ(first.value().targets.size(), 3u);
   // The freshly seeded replacement dies as well; recover again off the new
   // target list.
-  Datanode* replacement = datanode_of(first.value().targets[2]);
+  Datanode* replacement = transport_.datanode(first.value().targets[2]);
   replacement->crash();
   std::vector<std::size_t> idx;
   for (NodeId t : first.value().targets) {
@@ -322,7 +275,7 @@ TEST_F(RecoveryTest, RepeatedRecoveryOfSameBlockConverges) {
   // Both dead nodes are excluded now; only dn0/dn1 plus at most the one
   // remaining healthy spare can serve.
   for (NodeId t : second.value().targets) {
-    EXPECT_FALSE(datanode_of(t)->crashed());
+    EXPECT_FALSE(transport_.datanode(t)->crashed());
   }
   EXPECT_GE(second.value().targets.size(), 2u);
 }

@@ -5,15 +5,7 @@
 // writer uses on a soft-expired file.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
-#include "hdfs/datanode.hpp"
-#include "hdfs/namenode.hpp"
-#include "hdfs/transport.hpp"
-#include "net/network.hpp"
-#include "rpc/rpc_bus.hpp"
-#include "sim/simulation.hpp"
+#include "mini_cluster.hpp"
 
 namespace smarth::hdfs {
 namespace {
@@ -25,34 +17,10 @@ class NullAckSink : public AckSink {
   void deliver_fnfa(const FnfaMessage&) override {}
 };
 
-class UcRecoveryTest : public ::testing::Test {
+/// Three datanodes on one rack, 4 packets per block.
+class UcRecoveryTest : public MiniClusterTest {
  protected:
-  UcRecoveryTest() : sim_(1), net_(sim_) {
-    config_.packet_payload = 64 * kKiB;
-    config_.block_size = 4 * config_.packet_payload;  // 4 packets per block
-    nn_node_ = net_.add_node("nn", "/r0", Bandwidth::mbps(1000));
-    client_node_ = net_.add_node("client", "/r0", Bandwidth::mbps(1000));
-    for (int i = 0; i < 3; ++i) {
-      dn_nodes_.push_back(net_.add_node("dn" + std::to_string(i), "/r0",
-                                        Bandwidth::mbps(1000)));
-    }
-    SinkResolver resolver;
-    resolver.packet_sink = [this](NodeId node) -> PacketSink* {
-      return resolve(node);
-    };
-    resolver.ack_sink = [this](NodeId, PipelineId) -> AckSink* {
-      return &client_sink_;
-    };
-    transport_ = std::make_unique<Transport>(net_, config_, resolver);
-    namenode_ = std::make_unique<Namenode>(sim_, net_.topology(), config_,
-                                           nn_node_);
-    for (NodeId node : dn_nodes_) {
-      auto dn = std::make_unique<Datanode>(sim_, *transport_, rpc_,
-                                           *namenode_, config_, node);
-      dn->set_peer_resolver([this](NodeId peer) { return resolve(peer); });
-      dn->start();
-      dns_.push_back(std::move(dn));
-    }
+  UcRecoveryTest() : MiniClusterTest(4, {"/r0", "/r0", "/r0"}) {
     // Route recovery commands straight to the primary, as the cluster
     // facade does.
     namenode_->enable_lease_recovery(
@@ -66,12 +34,7 @@ class UcRecoveryTest : public ::testing::Test {
     settle(milliseconds(100));  // datanode registration heartbeats
   }
 
-  Datanode* resolve(NodeId node) {
-    for (std::size_t i = 0; i < dn_nodes_.size(); ++i) {
-      if (dn_nodes_[i] == node) return dns_[i].get();
-    }
-    return nullptr;
-  }
+  Datanode* resolve(NodeId node) { return transport_.datanode(node); }
 
   void settle(SimDuration span = seconds(2)) {
     sim_.run_until(sim_.now() + span);
@@ -89,12 +52,12 @@ class UcRecoveryTest : public ::testing::Test {
   /// (each 64 KiB). Fewer than 4 leaves the replicas under construction.
   void stream_packets(const LocatedBlock& located, int packets) {
     PipelineSetup setup;
-    setup.pipeline = PipelineId{next_pipeline_++};
+    setup.pipeline = transport_.open_pipeline(client_sink_);
     setup.block = located.block;
     setup.targets = located.targets;
     setup.client_node = client_node_;
     setup.client = writer_;
-    transport_->send_setup(client_node_, setup.targets[0], setup);
+    transport_.send_setup(client_node_, setup.targets[0], setup);
     settle(milliseconds(50));
     for (int i = 0; i < packets; ++i) {
       WirePacket packet;
@@ -104,7 +67,7 @@ class UcRecoveryTest : public ::testing::Test {
       packet.payload = config_.packet_payload;
       packet.last_in_block =
           (i + 1) * config_.packet_payload >= config_.block_size;
-      transport_->send_packet(client_node_, setup.targets[0], packet);
+      transport_.send_packet(client_node_, setup.targets[0], packet);
     }
     settle(milliseconds(200));
   }
@@ -120,18 +83,8 @@ class UcRecoveryTest : public ::testing::Test {
            replica.value().state == storage::ReplicaState::kFinalized;
   }
 
-  sim::Simulation sim_;
-  net::Network net_;
-  HdfsConfig config_;
-  rpc::RpcBus rpc_{net_};
-  NodeId nn_node_, client_node_;
-  std::vector<NodeId> dn_nodes_;
-  std::unique_ptr<Transport> transport_;
-  std::unique_ptr<Namenode> namenode_;
-  std::vector<std::unique_ptr<Datanode>> dns_;
   NullAckSink client_sink_;
   ClientId writer_{7};
-  std::int64_t next_pipeline_ = 1;
 };
 
 TEST_F(UcRecoveryTest, TailBlockTruncatesToMinimumDurableLength) {

@@ -191,6 +191,14 @@ void validate_shape_flags(const FlagSet& flags) {
                                  ", got " + flags.get(name));
     }
   }
+  // Placement needs a distinct datanode per replica. Count them in the built
+  // spec so that --cluster=hetero is covered too.
+  const std::size_t datanodes = spec_from_flags(flags, 0).datanodes.size();
+  if (static_cast<std::size_t>(*flags.get_int("replication")) > datanodes) {
+    fault_flag_error("replication",
+                     "must not exceed the " + std::to_string(datanodes) +
+                         " datanodes, got " + flags.get("replication"));
+  }
   for (const auto& [name, zero_ok] :
        {std::pair<const char*, bool>{"size-gb", false},
         {"fidelity-tolerance", false},

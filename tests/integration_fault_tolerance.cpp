@@ -1,8 +1,8 @@
 // Fault-tolerance integration tests: datanode crashes and checksum
-// corruption during uploads, for both the baseline recovery (paper Alg. 3)
-// and SMARTH's multi-pipeline recovery (Alg. 4). Every test verifies not
-// just completion but durability: the file ends fully replicated on the
-// survivors.
+// corruption during uploads. Both protocols share one recovery path (paper
+// Alg. 3 run over Alg. 4's error-pipeline set), so every case runs for both.
+// Every test verifies not just completion but durability: the file ends
+// fully replicated on the survivors.
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
@@ -15,6 +15,8 @@ namespace {
 
 using cluster::Cluster;
 using cluster::Protocol;
+
+constexpr Protocol kProtocols[] = {Protocol::kHdfs, Protocol::kSmarth};
 
 cluster::ClusterSpec spec_with_small_blocks(std::uint64_t seed = 42) {
   cluster::ClusterSpec spec = cluster::small_cluster(seed);
@@ -60,166 +62,194 @@ int min_finalized_replicas(Cluster& cluster, const std::string& path) {
   return min_replicas;
 }
 
-TEST(FaultToleranceHdfs, CrashMidUploadRecovers) {
-  for (std::size_t crash_index : {0u, 4u, 8u}) {
+TEST(FaultTolerance, CrashMidUploadRecovers) {
+  for (Protocol protocol : kProtocols) {
+    for (std::size_t crash_index : {0u, 4u, 8u}) {
+      Cluster cluster(spec_with_small_blocks());
+      // Crash one datanode two (simulated) seconds into the upload; whichever
+      // pipelines it serves must recover.
+      cluster.crash_datanode_at(crash_index, seconds(2));
+      const auto stats = cluster.run_upload("/data/a.bin", 24 * kMiB, protocol);
+      ASSERT_FALSE(stats.failed)
+          << cluster::protocol_name(protocol) << " crash_index=" << crash_index
+          << ": " << stats.failure_reason;
+      cluster.sim().run_until(cluster.sim().now() + seconds(2));
+      // Every block still has at least replication-1 finalized replicas (the
+      // crashed node may have been replaced or dropped).
+      EXPECT_GE(min_finalized_replicas(cluster, "/data/a.bin"), 2)
+          << cluster::protocol_name(protocol) << " crash_index="
+          << crash_index;
+    }
+  }
+}
+
+TEST(FaultTolerance, CrashMidThrottledUploadRecovers) {
+  for (Protocol protocol : kProtocols) {
+    for (std::size_t crash_index : {1u, 5u, 7u}) {
+      Cluster cluster(spec_with_small_blocks());
+      cluster.throttle_cross_rack(Bandwidth::mbps(40));  // keep pipelines busy
+      cluster.crash_datanode_at(crash_index, seconds(2));
+      const auto stats = cluster.run_upload("/data/a.bin", 24 * kMiB, protocol);
+      ASSERT_FALSE(stats.failed)
+          << cluster::protocol_name(protocol) << " crash_index=" << crash_index
+          << ": " << stats.failure_reason;
+      cluster.sim().run_until(cluster.sim().now() + seconds(2));
+      EXPECT_GE(min_finalized_replicas(cluster, "/data/a.bin"), 2)
+          << cluster::protocol_name(protocol) << " crash_index="
+          << crash_index;
+    }
+  }
+}
+
+TEST(FaultTolerance, RecoveryCountReported) {
+  for (Protocol protocol : kProtocols) {
     Cluster cluster(spec_with_small_blocks());
-    // Crash one datanode two (simulated) seconds into the upload; whichever
-    // pipelines it serves must recover via Algorithm 3.
-    cluster.crash_datanode_at(crash_index, seconds(2));
-    const auto stats =
-        cluster.run_upload("/data/a.bin", 24 * kMiB, Protocol::kHdfs);
+    // Crash the head of the first block's pipeline while it is streaming, so
+    // a recovery is guaranteed to run (a random node might never be used).
+    hdfs::StreamStats stats;
+    bool done = false;
+    cluster.upload("/data/a.bin", 24 * kMiB, protocol,
+                   [&](const hdfs::StreamStats& s) {
+                     stats = s;
+                     done = true;
+                   });
+    cluster.sim().run_until(milliseconds(300));
+    const int head = first_pipeline_head(cluster, "/data/a.bin");
+    ASSERT_GE(head, 0) << cluster::protocol_name(protocol);
+    cluster.datanode(static_cast<std::size_t>(head)).crash();
+    while (!done) {
+      ASSERT_TRUE(
+          cluster.sim().run_until(cluster.sim().now() + milliseconds(250)));
+      ASSERT_LT(cluster.sim().now(), seconds(10'000));
+    }
     ASSERT_FALSE(stats.failed)
-        << "crash_index=" << crash_index << ": " << stats.failure_reason;
-    cluster.sim().run_until(cluster.sim().now() + seconds(2));
-    // Every block still has at least replication-1 finalized replicas (the
-    // crashed node may have been replaced or dropped).
-    EXPECT_GE(min_finalized_replicas(cluster, "/data/a.bin"), 2)
-        << "crash_index=" << crash_index;
+        << cluster::protocol_name(protocol) << ": " << stats.failure_reason;
+    EXPECT_GE(stats.recoveries, 1) << cluster::protocol_name(protocol);
   }
 }
 
-TEST(FaultToleranceHdfs, RecoveryCountReported) {
-  Cluster cluster(spec_with_small_blocks());
-  // Crash the head of the first block's pipeline while it is streaming, so a
-  // recovery is guaranteed to run (a random node might never be used).
-  hdfs::StreamStats stats;
-  bool done = false;
-  cluster.upload("/data/a.bin", 24 * kMiB, Protocol::kHdfs,
-                 [&](const hdfs::StreamStats& s) {
-                   stats = s;
-                   done = true;
-                 });
-  cluster.sim().run_until(milliseconds(300));
-  const int head = first_pipeline_head(cluster, "/data/a.bin");
-  ASSERT_GE(head, 0);
-  cluster.datanode(static_cast<std::size_t>(head)).crash();
-  while (!done) {
-    ASSERT_TRUE(cluster.sim().run_until(cluster.sim().now() + milliseconds(250)));
-    ASSERT_LT(cluster.sim().now(), seconds(10'000));
-  }
-  ASSERT_FALSE(stats.failed) << stats.failure_reason;
-  EXPECT_GE(stats.recoveries, 1);
-}
-
-TEST(FaultToleranceHdfs, ChecksumErrorTriggersRecovery) {
-  Cluster cluster(spec_with_small_blocks());
-  // The 10th packet arriving at node 3 fails verification (wherever node 3
-  // sits in a pipeline); the client must replace/resync and finish.
-  cluster.datanode(3).inject_checksum_error_on_nth_packet(10);
-  const auto stats =
-      cluster.run_upload("/data/a.bin", 16 * kMiB, Protocol::kHdfs);
-  ASSERT_FALSE(stats.failed) << stats.failure_reason;
-  cluster.sim().run_until(cluster.sim().now() + seconds(2));
-  EXPECT_GE(min_finalized_replicas(cluster, "/data/a.bin"), 2);
-}
-
-TEST(FaultToleranceHdfs, UploadFailsWhenAllReplicasDie) {
-  cluster::ClusterSpec spec = spec_with_small_blocks();
-  Cluster cluster(spec);
-  // Kill every datanode early; no recovery can succeed.
-  workload::FaultPlan plan;
-  for (std::size_t i = 0; i < cluster.datanode_count(); ++i) {
-    plan.crash(i, seconds(1));
-  }
-  plan.apply(cluster);
-  const auto stats =
-      cluster.run_upload("/data/a.bin", 24 * kMiB, Protocol::kHdfs);
-  EXPECT_TRUE(stats.failed);
-}
-
-TEST(FaultToleranceSmarth, CrashMidUploadRecovers) {
-  for (std::size_t crash_index : {1u, 5u, 7u}) {
+TEST(FaultTolerance, ChecksumErrorTriggersRecovery) {
+  for (Protocol protocol : kProtocols) {
     Cluster cluster(spec_with_small_blocks());
-    cluster.throttle_cross_rack(Bandwidth::mbps(40));  // keep pipelines busy
-    cluster.crash_datanode_at(crash_index, seconds(2));
-    const auto stats =
-        cluster.run_upload("/data/a.bin", 24 * kMiB, Protocol::kSmarth);
+    // The 10th packet arriving at node 3 fails verification (wherever node 3
+    // sits in a pipeline); the client must replace/resync and finish.
+    cluster.datanode(3).inject_checksum_error_on_nth_packet(10);
+    const auto stats = cluster.run_upload("/data/a.bin", 16 * kMiB, protocol);
     ASSERT_FALSE(stats.failed)
-        << "crash_index=" << crash_index << ": " << stats.failure_reason;
+        << cluster::protocol_name(protocol) << ": " << stats.failure_reason;
     cluster.sim().run_until(cluster.sim().now() + seconds(2));
     EXPECT_GE(min_finalized_replicas(cluster, "/data/a.bin"), 2)
-        << "crash_index=" << crash_index;
+        << cluster::protocol_name(protocol);
   }
 }
 
-TEST(FaultToleranceSmarth, CrashOfPipelineHeadRecovers) {
-  Cluster cluster(spec_with_small_blocks());
-  cluster.throttle_cross_rack(Bandwidth::mbps(40));
-  // Let the upload place its first block, then kill that pipeline's head —
-  // the node the client is actively streaming to.
-  cluster.upload("/data/a.bin", 24 * kMiB, Protocol::kSmarth,
-                 [](const hdfs::StreamStats&) {});
-  cluster.sim().run_until(seconds(1));
-  const int head = first_pipeline_head(cluster, "/data/a.bin");
-  ASSERT_GE(head, 0);
-  cluster.datanode(static_cast<std::size_t>(head)).crash();
-  // Drive to completion.
-  const hdfs::FileEntry* entry =
-      cluster.namenode().file_by_path("/data/a.bin");
-  ASSERT_NE(entry, nullptr);
-  for (int i = 0; i < 600 && entry->state != hdfs::FileState::kClosed; ++i) {
-    cluster.sim().run_until(cluster.sim().now() + milliseconds(200));
+TEST(FaultTolerance, ChecksumErrorOnMirrorRecovers) {
+  for (Protocol protocol : kProtocols) {
+    Cluster cluster(spec_with_small_blocks());
+    cluster.datanode(6).inject_checksum_error_on_nth_packet(5);
+    const auto stats = cluster.run_upload("/data/a.bin", 16 * kMiB, protocol);
+    ASSERT_FALSE(stats.failed)
+        << cluster::protocol_name(protocol) << ": " << stats.failure_reason;
+    cluster.sim().run_until(cluster.sim().now() + seconds(2));
+    EXPECT_GE(min_finalized_replicas(cluster, "/data/a.bin"), 2)
+        << cluster::protocol_name(protocol);
   }
-  EXPECT_EQ(entry->state, hdfs::FileState::kClosed);
-  EXPECT_GE(min_finalized_replicas(cluster, "/data/a.bin"), 2);
 }
 
-TEST(FaultToleranceSmarth, ChecksumErrorOnMirrorRecovers) {
-  Cluster cluster(spec_with_small_blocks());
-  cluster.datanode(6).inject_checksum_error_on_nth_packet(5);
-  const auto stats =
-      cluster.run_upload("/data/a.bin", 16 * kMiB, Protocol::kSmarth);
-  ASSERT_FALSE(stats.failed) << stats.failure_reason;
-  cluster.sim().run_until(cluster.sim().now() + seconds(2));
-  EXPECT_GE(min_finalized_replicas(cluster, "/data/a.bin"), 2);
+TEST(FaultTolerance, UploadFailsWhenAllReplicasDie) {
+  for (Protocol protocol : kProtocols) {
+    Cluster cluster(spec_with_small_blocks());
+    // Kill every datanode early; no recovery can succeed. (SMARTH finishes
+    // this upload in just under 1 s, so the crash lands at 0.5 s.)
+    workload::FaultPlan plan;
+    for (std::size_t i = 0; i < cluster.datanode_count(); ++i) {
+      plan.crash(i, milliseconds(500));
+    }
+    plan.apply(cluster);
+    const auto stats = cluster.run_upload("/data/a.bin", 24 * kMiB, protocol);
+    EXPECT_TRUE(stats.failed) << cluster::protocol_name(protocol);
+  }
 }
 
-TEST(FaultToleranceSmarth, MultipleCrashesAcrossUpload) {
-  Cluster cluster(spec_with_small_blocks());
-  cluster.throttle_cross_rack(Bandwidth::mbps(40));
-  workload::FaultPlan plan;
-  plan.crash(0, seconds(2)).crash(5, seconds(6));
-  plan.apply(cluster);
-  const auto stats =
-      cluster.run_upload("/data/a.bin", 32 * kMiB, Protocol::kSmarth);
-  ASSERT_FALSE(stats.failed) << stats.failure_reason;
-  cluster.sim().run_until(cluster.sim().now() + seconds(2));
-  EXPECT_GE(min_finalized_replicas(cluster, "/data/a.bin"), 2);
+TEST(FaultTolerance, CrashOfPipelineHeadRecovers) {
+  for (Protocol protocol : kProtocols) {
+    Cluster cluster(spec_with_small_blocks());
+    cluster.throttle_cross_rack(Bandwidth::mbps(40));
+    // Let the upload place its first block, then kill that pipeline's head —
+    // the node the client is actively streaming to.
+    cluster.upload("/data/a.bin", 24 * kMiB, protocol,
+                   [](const hdfs::StreamStats&) {});
+    cluster.sim().run_until(seconds(1));
+    const int head = first_pipeline_head(cluster, "/data/a.bin");
+    ASSERT_GE(head, 0) << cluster::protocol_name(protocol);
+    cluster.datanode(static_cast<std::size_t>(head)).crash();
+    // Drive to completion.
+    const hdfs::FileEntry* entry =
+        cluster.namenode().file_by_path("/data/a.bin");
+    ASSERT_NE(entry, nullptr) << cluster::protocol_name(protocol);
+    for (int i = 0; i < 600 && entry->state != hdfs::FileState::kClosed; ++i) {
+      cluster.sim().run_until(cluster.sim().now() + milliseconds(200));
+    }
+    EXPECT_EQ(entry->state, hdfs::FileState::kClosed)
+        << cluster::protocol_name(protocol);
+    EXPECT_GE(min_finalized_replicas(cluster, "/data/a.bin"), 2)
+        << cluster::protocol_name(protocol);
+  }
 }
 
-TEST(FaultToleranceSmarth, DeadNodeExcludedFromLaterPlacement) {
-  Cluster cluster(spec_with_small_blocks());
-  cluster.crash_datanode_at(4, seconds(1));
-  const auto stats =
-      cluster.run_upload("/data/a.bin", 32 * kMiB, Protocol::kSmarth);
-  ASSERT_FALSE(stats.failed);
-  // Blocks allocated well after the dead-node interval must avoid node 4.
-  const hdfs::FileEntry* entry =
-      cluster.namenode().file_by_path("/data/a.bin");
-  ASSERT_NE(entry, nullptr);
-  const hdfs::BlockRecord* last_block =
-      cluster.namenode().block(entry->blocks.back());
-  ASSERT_NE(last_block, nullptr);
-  for (NodeId target : last_block->expected_targets) {
-    EXPECT_NE(target, cluster.datanode_id(4));
+TEST(FaultTolerance, MultipleCrashesAcrossUpload) {
+  for (Protocol protocol : kProtocols) {
+    Cluster cluster(spec_with_small_blocks());
+    cluster.throttle_cross_rack(Bandwidth::mbps(40));
+    workload::FaultPlan plan;
+    plan.crash(0, seconds(2)).crash(5, seconds(6));
+    plan.apply(cluster);
+    const auto stats = cluster.run_upload("/data/a.bin", 32 * kMiB, protocol);
+    ASSERT_FALSE(stats.failed)
+        << cluster::protocol_name(protocol) << ": " << stats.failure_reason;
+    cluster.sim().run_until(cluster.sim().now() + seconds(2));
+    EXPECT_GE(min_finalized_replicas(cluster, "/data/a.bin"), 2)
+        << cluster::protocol_name(protocol);
+  }
+}
+
+TEST(FaultTolerance, DeadNodeExcludedFromLaterPlacement) {
+  for (Protocol protocol : kProtocols) {
+    Cluster cluster(spec_with_small_blocks());
+    cluster.crash_datanode_at(4, seconds(1));
+    const auto stats = cluster.run_upload("/data/a.bin", 32 * kMiB, protocol);
+    ASSERT_FALSE(stats.failed) << cluster::protocol_name(protocol);
+    // Blocks allocated well after the dead-node interval must avoid node 4.
+    const hdfs::FileEntry* entry =
+        cluster.namenode().file_by_path("/data/a.bin");
+    ASSERT_NE(entry, nullptr) << cluster::protocol_name(protocol);
+    const hdfs::BlockRecord* last_block =
+        cluster.namenode().block(entry->blocks.back());
+    ASSERT_NE(last_block, nullptr) << cluster::protocol_name(protocol);
+    for (NodeId target : last_block->expected_targets) {
+      EXPECT_NE(target, cluster.datanode_id(4))
+          << cluster::protocol_name(protocol);
+    }
   }
 }
 
 TEST(FaultTolerance, RecoveredUploadSlowerThanCleanRun) {
   // Recovery is not free: the faulted run must take longer than a clean one
   // on the same cluster/seed, and both must finish.
-  cluster::ClusterSpec spec = spec_with_small_blocks();
-  Cluster clean(spec);
-  const auto clean_stats =
-      clean.run_upload("/data/a.bin", 24 * kMiB, Protocol::kHdfs);
-  Cluster faulted(spec);
-  faulted.crash_datanode_at(1, seconds(2));
-  const auto faulted_stats =
-      faulted.run_upload("/data/a.bin", 24 * kMiB, Protocol::kHdfs);
-  ASSERT_FALSE(clean_stats.failed);
-  ASSERT_FALSE(faulted_stats.failed);
-  if (faulted_stats.recoveries > 0) {
-    EXPECT_GT(faulted_stats.elapsed(), clean_stats.elapsed());
+  for (Protocol protocol : kProtocols) {
+    cluster::ClusterSpec spec = spec_with_small_blocks();
+    Cluster clean(spec);
+    const auto clean_stats = clean.run_upload("/data/a.bin", 24 * kMiB, protocol);
+    Cluster faulted(spec);
+    faulted.crash_datanode_at(1, seconds(2));
+    const auto faulted_stats =
+        faulted.run_upload("/data/a.bin", 24 * kMiB, protocol);
+    ASSERT_FALSE(clean_stats.failed) << cluster::protocol_name(protocol);
+    ASSERT_FALSE(faulted_stats.failed) << cluster::protocol_name(protocol);
+    if (faulted_stats.recoveries > 0) {
+      EXPECT_GT(faulted_stats.elapsed(), clean_stats.elapsed())
+          << cluster::protocol_name(protocol);
+    }
   }
 }
 

@@ -11,7 +11,7 @@ Link::Link(sim::Simulation& sim, std::string name, Bandwidth capacity,
   SMARTH_CHECK_MSG(latency_ >= 0, "negative link latency on " << name_);
 }
 
-std::uint32_t Link::acquire_slot(Bytes size, DeliveryCallback cb) {
+std::uint32_t Link::acquire_slot(Bytes size, DeliveryCallback&& cb) {
   std::uint32_t slot = free_slots_;
   if (slot != kNoSlot) {
     free_slots_ = slots_[slot].next;

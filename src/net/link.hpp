@@ -89,7 +89,7 @@ class Link {
     Fifo queue;
   };
 
-  std::uint32_t acquire_slot(Bytes size, DeliveryCallback cb);
+  std::uint32_t acquire_slot(Bytes size, DeliveryCallback&& cb);
   void push(Fifo& fifo, std::uint32_t slot);
   std::uint32_t pop(Fifo& fifo);
   /// The queue of `flow`, joining the back of the service ring if the flow

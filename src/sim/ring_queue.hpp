@@ -22,6 +22,11 @@ class RingQueue {
 
   /// The i-th element from the front (0 = front).
   T& operator[](std::size_t i) { return buf_[(head_ + i) & (buf_.size() - 1)]; }
+  const T& operator[](std::size_t i) const {
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
+  /// Precondition: !empty().
+  T& front() { return buf_[head_]; }
 
   void push_back(T value) {
     if (size_ == buf_.size()) grow();

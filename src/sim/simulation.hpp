@@ -146,7 +146,10 @@ class Simulation {
 
  private:
   bool execute_one();
-  detail::EventRecord* enqueue(SimTime t, const char* category, Callback cb);
+  /// Removes `rec` (the queue's next event) and runs it.
+  void fire(detail::EventRecord* rec);
+  detail::EventRecord* enqueue(SimTime t, const char* category,
+                               Callback&& cb);
   [[noreturn]] void throw_event_limit();
 
   SimTime now_ = 0;

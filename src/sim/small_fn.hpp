@@ -7,9 +7,18 @@
 // throwing-move captures), so the common packet-delivery / timer-tick lambdas
 // never allocate. Move-only by design: an event callback has exactly one
 // owner (the queue) and most useful captures own moved-in state anyway.
+//
+// A callback is moved several times between the call site and the event
+// record (transport queue, link slot, event record, out of the record to
+// run). Captures that are trivially copyable and trivially destructible —
+// `{this, record}` and other pointer/integer tuples, i.e. nearly every
+// packet-path lambda — and heap-fallback pointers carry null relocate and
+// destroy ops, so those moves are a fixed-size memcpy of the buffer rather
+// than an indirect call.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -57,7 +66,7 @@ class SmallFn {
 
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }
@@ -75,32 +84,45 @@ class SmallFn {
   struct Ops {
     void (*invoke)(void*);
     /// Move-constructs the target from `src` storage into `dst` storage and
-    /// destroys the source — relocation between inline slots.
+    /// destroys the source — relocation between inline slots. Null when a
+    /// byte copy of the buffer relocates the target.
     void (*relocate)(void* dst, void* src);
+    /// Null when the target needs no destructor call.
     void (*destroy)(void*);
   };
 
   template <typename F>
-  static const Ops* inline_ops() {
-    static constexpr Ops ops = {
-        [](void* p) { (*static_cast<F*>(p))(); },
-        [](void* dst, void* src) {
-          F* from = static_cast<F*>(src);
-          ::new (dst) F(std::move(*from));
-          from->~F();
-        },
-        [](void* p) { static_cast<F*>(p)->~F(); },
-    };
-    return &ops;
+  static constexpr bool trivially_relocatable() {
+    return std::is_trivially_copyable_v<F> &&
+           std::is_trivially_destructible_v<F>;
   }
 
+  template <typename F>
+  static const Ops* inline_ops() {
+    if constexpr (trivially_relocatable<F>()) {
+      static constexpr Ops ops = {
+          [](void* p) { (*static_cast<F*>(p))(); }, nullptr, nullptr};
+      return &ops;
+    } else {
+      static constexpr Ops ops = {
+          [](void* p) { (*static_cast<F*>(p))(); },
+          [](void* dst, void* src) {
+            F* from = static_cast<F*>(src);
+            ::new (dst) F(std::move(*from));
+            from->~F();
+          },
+          [](void* p) { static_cast<F*>(p)->~F(); },
+      };
+      return &ops;
+    }
+  }
+
+  /// The buffer holds only an owning pointer, so a byte copy relocates it.
   template <typename F>
   static const Ops* heap_ops() {
     static constexpr Ops ops = {
         [](void* p) { (**static_cast<F**>(p))(); },
-        [](void* dst, void* src) {
-          *static_cast<F**>(dst) = *static_cast<F**>(src);
-        },
+        nullptr,
         [](void* p) { delete *static_cast<F**>(p); },
     };
     return &ops;
@@ -121,7 +143,11 @@ class SmallFn {
   void take_from(SmallFn& other) {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
-      ops_->relocate(storage_, other.storage_);
+      if (ops_->relocate != nullptr) {
+        ops_->relocate(storage_, other.storage_);
+      } else {
+        std::memcpy(storage_, other.storage_, Capacity);
+      }
       other.ops_ = nullptr;
     }
   }

@@ -42,7 +42,7 @@ void DiskDevice::read(Bytes size, std::uint64_t ops, WriteCallback on_done) {
 }
 
 void DiskDevice::enqueue(Bytes size, std::uint64_t ops, bool is_read,
-                         WriteCallback on_done) {
+                         WriteCallback&& on_done) {
   SMARTH_CHECK_MSG(size >= 0, "negative op size on " << name_);
   SMARTH_CHECK(ops >= 1);
   SMARTH_CHECK(static_cast<bool>(on_done));

@@ -61,7 +61,7 @@ class DiskDevice {
   };
 
   void enqueue(Bytes size, std::uint64_t ops, bool is_read,
-               WriteCallback on_done);
+               WriteCallback&& on_done);
   void start_next();
   void finish_current();
 

@@ -5,6 +5,7 @@
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "hdfs/datanode.hpp"
+#include "rpc/retry.hpp"
 #include "trace/metrics_registry.hpp"
 #include "trace/trace_recorder.hpp"
 
@@ -60,8 +61,11 @@ void DfsInputStream::start() {
 
 void DfsInputStream::fetch_locations() {
   Namenode& nn = deps_.namenode;
-  deps_.rpc.call<Result<std::vector<LocatedBlock>>>(
-      client_node_, nn.node_id(),
+  // No block watchdog is armed yet, so the lookup carries its own timeout: a
+  // lost request or response (RPC chaos, a down namenode) is retried, and
+  // the read fails once the attempts run out instead of waiting forever.
+  rpc::call_with_retry<Result<std::vector<LocatedBlock>>>(
+      deps_.rpc, deps_.sim, rpc::RetryPolicy{}, client_node_, nn.node_id(),
       [&nn, path = path_, reader = client_node_] {
         return nn.get_block_locations(path, reader);
       },
@@ -89,7 +93,11 @@ void DfsInputStream::fetch_locations() {
         }
         start_block(0);
       },
-      {},
+      [this, alive = alive_] {
+        if (!*alive || finished_) return;
+        finish(true, "getBlockLocations gave up after repeated timeouts");
+      },
+      nullptr, "get_block_locations", {},
       [] {
         // Admission control shed the call: answer with a typed rejection
         // instead of leaving the read waiting forever.

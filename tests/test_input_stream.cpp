@@ -125,6 +125,30 @@ TEST_F(InputStreamTest, FailsWhenEveryHolderRefuses) {
   EXPECT_EQ(stats.failovers, 2);
 }
 
+TEST_F(InputStreamTest, LostLocationLookupIsRetried) {
+  stage_block("/f", config_.block_size, {0, 1, 2});
+  // The namenode is unreachable for the first second: the first
+  // getBlockLocations request is dropped, and only a retry can answer it.
+  rpc_.set_host_down(nn_node_, true);
+  sim_.schedule_after(seconds(1),
+                      [this] { rpc_.set_host_down(nn_node_, false); });
+  const ReadStats stats = read_file("/f");
+  ASSERT_FALSE(stats.failed) << stats.failure_reason;
+  EXPECT_EQ(stats.bytes_read, config_.block_size);
+  EXPECT_GT(stats.finished_at, seconds(1));
+}
+
+TEST_F(InputStreamTest, UnreachableNamenodeFailsTheRead) {
+  stage_block("/f", config_.block_size, {0, 1, 2});
+  rpc_.set_host_down(nn_node_, true);
+  const ReadStats stats = read_file("/f");
+  ASSERT_TRUE(stats.failed);
+  EXPECT_NE(stats.failure_reason.find("getBlockLocations"), std::string::npos)
+      << stats.failure_reason;
+  EXPECT_EQ(stats.bytes_read, 0);
+  EXPECT_LT(stats.finished_at, seconds(60));
+}
+
 TEST_F(InputStreamTest, MissingFileFailsFast) {
   const ReadStats stats = read_file("/absent");
   EXPECT_TRUE(stats.failed);

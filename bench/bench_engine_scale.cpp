@@ -3,14 +3,16 @@
 // plus an in-process comparison of the calendar-queue event core against the
 // pre-refactor reference design (sim/reference_queue.hpp). Emits
 // BENCH_engine_scale.json so the perf trajectory is machine-checkable: CI
-// gates on the core speedup ratio, which is machine-independent because both
-// cores run in the same process on the same workload.
+// gates on the median core speedup ratio over interleaved rounds, which is
+// machine-independent because both cores run in the same process on the
+// same workload, and steadier than any single round on a shared host.
 //
 //   bench_engine_scale [output.json]
 //
 // SMARTH_BENCH_ENGINE_FAST=1 shrinks the simulated horizon and upload (CI
 // config); the cluster-size grid — including the 1000-node block-fidelity
 // point — is identical in both configs.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -42,6 +44,9 @@ double wall_seconds_since(std::chrono::steady_clock::time_point start) {
 
 constexpr int kChurnChains = 65536;
 constexpr std::uint64_t kChurnEvents = 2'000'000;
+/// Rounds of the churn comparison; each runs both cores, alternating which
+/// goes first, and the reported rates and speedup are per-round medians.
+constexpr int kChurnRounds = 7;
 
 SimDuration churn_delay(std::uint64_t n) {
   return 100 + static_cast<SimDuration>((n * 2654435761u) % 10'000);
@@ -125,6 +130,13 @@ ScalePoint run_scale_point(int datanodes, hdfs::DataFidelity fidelity,
   return point;
 }
 
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : (values[mid - 1] + values[mid]) / 2;
+}
+
 std::string json_num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6g", v);
@@ -140,19 +152,42 @@ int main(int argc, char** argv) {
   const double sim_seconds = fast ? 8.0 : 30.0;
   const Bytes file_size = fast ? 256 * kMiB : kGiB;
 
-  std::printf("engine core churn (%d chains, %llu events):\n", kChurnChains,
-              static_cast<unsigned long long>(kChurnEvents));
-  const CoreRate calendar = churn_calendar();
-  const CoreRate reference = churn_reference();
-  const double speedup =
-      reference.events_per_sec() > 0
-          ? calendar.events_per_sec() / reference.events_per_sec()
-          : 0;
-  std::printf("  calendar queue  %10.0f events/s\n",
-              calendar.events_per_sec());
-  std::printf("  reference core  %10.0f events/s\n",
-              reference.events_per_sec());
-  std::printf("  speedup         %10.2fx\n\n", speedup);
+  std::printf("engine core churn (%d chains, %llu events, %d rounds):\n",
+              kChurnChains, static_cast<unsigned long long>(kChurnEvents),
+              kChurnRounds);
+  std::vector<double> calendar_rates;
+  std::vector<double> reference_rates;
+  std::vector<double> speedups;
+  for (int round = 0; round < kChurnRounds; ++round) {
+    CoreRate calendar;
+    CoreRate reference;
+    if (round % 2 == 0) {
+      calendar = churn_calendar();
+      reference = churn_reference();
+    } else {
+      reference = churn_reference();
+      calendar = churn_calendar();
+    }
+    const double ratio =
+        reference.events_per_sec() > 0
+            ? calendar.events_per_sec() / reference.events_per_sec()
+            : 0;
+    std::printf("  round %d: calendar %10.0f  reference %10.0f  %5.2fx\n",
+                round, calendar.events_per_sec(), reference.events_per_sec(),
+                ratio);
+    calendar_rates.push_back(calendar.events_per_sec());
+    reference_rates.push_back(reference.events_per_sec());
+    speedups.push_back(ratio);
+  }
+  const double speedup = median(speedups);
+  const auto [min_speedup, max_speedup] =
+      std::minmax_element(speedups.begin(), speedups.end());
+  std::printf("  calendar queue  %10.0f events/s (median)\n",
+              median(calendar_rates));
+  std::printf("  reference core  %10.0f events/s (median)\n",
+              median(reference_rates));
+  std::printf("  speedup         %10.2fx (median; min %.2fx, max %.2fx)\n\n",
+              speedup, *min_speedup, *max_speedup);
 
   std::vector<ScalePoint> points;
   for (const int datanodes : {10, 100, 1000}) {
@@ -178,11 +213,13 @@ int main(int argc, char** argv) {
           "},\n";
   json += "  \"core_microbench\": {\"chains\": " + std::to_string(kChurnChains) +
           ", \"events\": " + std::to_string(kChurnEvents) +
-          ", \"calendar_events_per_sec\": " +
-          json_num(calendar.events_per_sec()) +
+          ", \"rounds\": " + std::to_string(kChurnRounds) +
+          ", \"calendar_events_per_sec\": " + json_num(median(calendar_rates)) +
           ", \"reference_events_per_sec\": " +
-          json_num(reference.events_per_sec()) +
-          ", \"speedup\": " + json_num(speedup) + "},\n";
+          json_num(median(reference_rates)) +
+          ", \"speedup\": " + json_num(speedup) +
+          ", \"speedup_min\": " + json_num(*min_speedup) +
+          ", \"speedup_max\": " + json_num(*max_speedup) + "},\n";
   json += "  \"clusters\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const ScalePoint& p = points[i];

@@ -1,10 +1,25 @@
 #include "trace/metrics_registry.hpp"
 
+#include <atomic>
 #include <cstdio>
 
 namespace smarth::metrics {
 
 namespace {
+
+/// Epochs are unique across every registry of the process, so a handle
+/// cached against one registry never mistakes another for it.
+std::uint64_t next_epoch() {
+  static std::atomic<std::uint64_t> counter{0};
+  return ++counter;
+}
+
+template <typename Metric>
+Metric& find_or_create(Registry::Map<Metric>& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.emplace(std::string(name), Metric{}).first;
+  return it->second;
+}
 
 std::string format_double(double v) {
   char buf[64];
@@ -40,39 +55,44 @@ const std::vector<double>& default_latency_bounds() {
   return kBounds;
 }
 
-Counter& Registry::counter(const std::string& name) { return counters_[name]; }
+Registry::Registry() : epoch_(next_epoch()) {}
 
-Gauge& Registry::gauge(const std::string& name) { return gauges_[name]; }
+Counter& Registry::counter(std::string_view name) {
+  return find_or_create(counters_, name);
+}
 
-LatencyHistogram& Registry::histogram(const std::string& name) {
+Gauge& Registry::gauge(std::string_view name) {
+  return find_or_create(gauges_, name);
+}
+
+LatencyHistogram& Registry::histogram(std::string_view name) {
   return histogram(name, default_latency_bounds());
 }
 
-LatencyHistogram& Registry::histogram(const std::string& name,
-                                      std::vector<double> upper_bounds) {
+LatencyHistogram& Registry::histogram(std::string_view name,
+                                      const std::vector<double>& upper_bounds) {
   auto it = histograms_.find(name);
   if (it != histograms_.end()) return it->second;
-  return histograms_.emplace(name, LatencyHistogram(std::move(upper_bounds)))
+  return histograms_.emplace(std::string(name), LatencyHistogram(upper_bounds))
       .first->second;
 }
 
-const Counter* Registry::find_counter(const std::string& name) const {
+const Counter* Registry::find_counter(std::string_view name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : &it->second;
 }
 
-std::uint64_t Registry::counter_value(const std::string& name) const {
+std::uint64_t Registry::counter_value(std::string_view name) const {
   const Counter* c = find_counter(name);
   return c != nullptr ? c->value() : 0;
 }
 
-const Gauge* Registry::find_gauge(const std::string& name) const {
+const Gauge* Registry::find_gauge(std::string_view name) const {
   auto it = gauges_.find(name);
   return it == gauges_.end() ? nullptr : &it->second;
 }
 
-const LatencyHistogram* Registry::find_histogram(
-    const std::string& name) const {
+const LatencyHistogram* Registry::find_histogram(std::string_view name) const {
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
 }
@@ -81,6 +101,7 @@ void Registry::reset() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
+  epoch_ = next_epoch();
 }
 
 void Registry::merge(const Registry& other) {

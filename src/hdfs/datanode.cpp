@@ -50,16 +50,17 @@ void Datanode::start() {
   heartbeat_ = std::make_unique<sim::PeriodicTask>(
       sim_, kHeartbeatInterval, [this] {
         if (crashed_) return;
-        // Each heartbeat carries an incremental block report (finalized
-        // replicas). blockReceived notifications are fire-and-forget and can
+        // Each heartbeat carries a full report of this node's finalized
+        // replicas. blockReceived notifications are fire-and-forget and can
         // be lost to RPC chaos or partitions; the periodic report makes the
         // namenode's replica map self-healing (block_received is idempotent).
         std::vector<std::pair<BlockId, Bytes>> report;
-        for (const auto& replica : store_.all_replicas()) {
+        report.reserve(store_.replica_count());
+        store_.for_each_replica([&report](const storage::ReplicaInfo& replica) {
           if (replica.state == storage::ReplicaState::kFinalized) {
             report.emplace_back(replica.block, replica.bytes);
           }
-        }
+        });
         // A heartbeat shed by namenode admission control never reaches this
         // handler at all — overload can delay liveness bookkeeping but never
         // mistake a healthy node for a stale or slow one.

@@ -197,21 +197,21 @@ void Network::on_hop_done(InFlight* rec) {
   }
 }
 
-void Network::send(NodeId src, NodeId dst, Bytes wire_size,
+bool Network::send(NodeId src, NodeId dst, Bytes wire_size,
                    DeliveryCallback on_delivered, LinkPriority priority,
                    FlowKey flow) {
   SMARTH_CHECK(static_cast<bool>(on_delivered));
   if (src == dst) {
     ++messages_delivered_;
     sim_.schedule_after(config_.loopback_latency, std::move(on_delivered));
-    return;
+    return true;
   }
   if (partitioned(src, dst) || node_isolated(src) || node_isolated(dst)) {
     // The inter-switch link or an endpoint NIC is down: the message vanishes
     // (senders discover it through their own timeouts, exactly as with real
     // partitions or flapping cables).
     ++messages_dropped_;
-    return;
+    return false;
   }
   Port& sp = port(src);
   Port& dp = port(dst);
@@ -236,6 +236,7 @@ void Network::send(NodeId src, NodeId dst, Bytes wire_size,
       cross ? config_.cross_rack_latency : config_.same_rack_latency;
   rec->on_delivered = std::move(on_delivered);
   transmit_hop(rec);
+  return true;
 }
 
 }  // namespace smarth::net

@@ -52,7 +52,9 @@ class Network {
   /// Sends `wire_size` bytes from `src` to `dst`; `on_delivered` fires at the
   /// destination once the message has traversed every hop. Control-priority
   /// messages bypass queued bulk data on every hop (see LinkPriority).
-  void send(NodeId src, NodeId dst, Bytes wire_size,
+  /// Returns false when a partition or isolated NIC drops the message on the
+  /// spot; `on_delivered` is then destroyed without running.
+  bool send(NodeId src, NodeId dst, Bytes wire_size,
             DeliveryCallback on_delivered,
             LinkPriority priority = LinkPriority::kBulk,
             FlowKey flow = kDefaultFlow);

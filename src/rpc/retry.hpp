@@ -4,42 +4,28 @@
 // consumer that must make progress through faults wraps its calls here
 // instead of waiting forever on a response that will never come.
 //
+// A retried call is one RpcBus call record for all its attempts: the retry
+// state lives in the record, and each timeout and backoff event carries only
+// the record and its generation.
+//
 // Duplicate-response hygiene: an attempt that merely timed out may still
-// deliver its response later (slow, not lost). The shared `settled` flag
+// deliver its response later (slow, not lost). The record's `settled` flag
 // ensures exactly one of {on_response, on_give_up} runs, exactly once.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "rpc/rpc_bus.hpp"
 #include "sim/simulation.hpp"
-#include "trace/metrics_registry.hpp"
 #include "trace/trace_recorder.hpp"
 
 namespace smarth::rpc {
-
-struct RetryPolicy {
-  /// Per-attempt response deadline.
-  SimDuration timeout = seconds(2);
-  /// Total attempts (first try included). Must be >= 1.
-  int max_attempts = 4;
-  /// Backoff before attempt k (k >= 2) is base * 2^(k-2), capped at max,
-  /// then scaled by a jitter factor in [1-jitter, 1+jitter].
-  SimDuration backoff_base = milliseconds(200);
-  SimDuration backoff_max = seconds(5);
-  double jitter = 0.2;
-};
-
-/// Aggregated per-client retry accounting, surfaced in the metrics report.
-struct RetryStats {
-  std::uint64_t retries = 0;   ///< attempts beyond the first, across calls
-  std::uint64_t give_ups = 0;  ///< calls abandoned after max_attempts
-};
 
 namespace detail {
 
@@ -57,6 +43,161 @@ inline SimDuration retry_backoff(const RetryPolicy& policy, int attempt,
   }
   return backoff;
 }
+
+/// The retry half of a call record: launches attempts, times them out,
+/// backs off and settles.
+template <typename Resp>
+struct Retry {
+  using Call = RpcBus::Call<Resp>;
+
+  /// Attempt `attempt`'s deadline. Holds no reference: once the call has
+  /// settled and its record was recycled, the generation no longer matches.
+  struct Timeout {
+    Call* call;
+    std::uint32_t generation;
+    std::uint32_t attempt;
+    void operator()() const { on_timeout(call, generation, attempt); }
+  };
+
+  /// A backoff that ends in a new attempt; holds a reference, since the
+  /// attempt it launches needs the record.
+  struct Relaunch {
+    Call* call;
+    /// An overload backoff stands down if the call settled meanwhile; a
+    /// timeout backoff relaunches regardless.
+    bool unless_settled;
+    void operator()() const { relaunch(call, unless_settled); }
+  };
+
+  static void start(RpcBus& bus, sim::Simulation& sim,
+                    const RetryPolicy& policy, NodeId client, NodeId server,
+                    std::function<Resp()> handler,
+                    std::function<void(Resp)> on_response,
+                    std::function<void()> on_give_up,
+                    std::shared_ptr<RetryStats> stats, const char* label,
+                    CallOptions options, std::function<Resp()> shed_response,
+                    std::function<bool(const Resp&)> retry_on) {
+    static_assert(sim::Simulation::Callback::stores_inline<Timeout>());
+    static_assert(sim::Simulation::Callback::stores_inline<Relaunch>());
+    // The caller's reference from open_call stays until the call settles.
+    Call* call = bus.open_call<Resp>(client, server, options);
+    call->handler = std::move(handler);
+    call->on_response = std::move(on_response);
+    call->shed_response = std::move(shed_response);
+    call->on_reply = &on_reply;
+    call->sim = &sim;
+    call->policy = policy;
+    call->on_give_up = std::move(on_give_up);
+    call->retry_on = std::move(retry_on);
+    call->stats = std::move(stats);
+    call->label = &bus.label_counters(label);
+    launch(call);
+  }
+
+  static RpcBus& bus(Call* call) { return *call->pool->bus; }
+  static const std::string& label(Call* call) { return call->label->name; }
+
+  static void launch(Call* call) {
+    call->response_retry_pending = false;
+    const std::uint32_t attempt = ++call->attempt;
+    if (attempt > 1) {
+      if (call->stats) ++call->stats->retries;
+      bus(call).metrics_.retries->add();
+      call->label->retries->add();
+      if (trace::active()) {
+        trace::recorder()->instant(
+            trace::Category::kRpc, "rpc", "retry " + label(call),
+            {{"attempt", std::to_string(attempt)},
+             {"client", call->client.to_string()},
+             {"server", call->server.to_string()}});
+      }
+    }
+    bus(call).start_attempt(call, attempt);
+    call->sim->schedule_after(call->policy.timeout,
+                              Timeout{call, call->generation, attempt});
+  }
+
+  static void schedule_relaunch(Call* call, SimDuration backoff,
+                                bool unless_settled) {
+    ++call->refs;
+    call->sim->schedule_after(backoff, Relaunch{call, unless_settled});
+  }
+
+  static void relaunch(Call* call, bool unless_settled) {
+    if (!(unless_settled && call->settled)) launch(call);
+    bus(call).unref(call);
+  }
+
+  /// Settles the call (the caller's reference goes with it).
+  template <typename F>
+  static void settle(Call* call, F&& notify_caller) {
+    call->settled = true;
+    notify_caller();
+    bus(call).unref(call);
+  }
+
+  static void on_reply(Call* call, std::uint32_t attempt, Resp&& resp) {
+    if (call->settled) return;  // a slow earlier attempt already won
+    const int max_attempts = call->policy.max_attempts;
+    if (call->retry_on && call->retry_on(resp) &&
+        static_cast<int>(attempt) < max_attempts && call->attempt == attempt &&
+        !call->response_retry_pending) {
+      // Retryable rejection (e.g. overloaded): back off and relaunch.
+      call->response_retry_pending = true;
+      bus(call).metrics_.overload_retries->add();
+      call->label->overload_retries->add();
+      schedule_relaunch(call,
+                        retry_backoff(call->policy, static_cast<int>(attempt),
+                                      *call->sim),
+                        /*unless_settled=*/true);
+      return;
+    }
+    if (call->retry_on) {
+      // A stale rejection from a superseded attempt, or a duplicate while
+      // this attempt's backoff relaunch is pending: the in-flight attempt
+      // owns the outcome.
+      if (call->attempt != attempt && call->retry_on(resp)) return;
+      if (call->response_retry_pending && call->attempt == attempt) return;
+    }
+    settle(call, [&] { call->on_response(std::move(resp)); });
+  }
+
+  static void on_timeout(Call* call, std::uint32_t generation,
+                         std::uint32_t attempt) {
+    if (call->generation != generation) return;  // settled and recycled
+    if (call->settled || call->attempt != attempt ||
+        call->response_retry_pending) {
+      return;
+    }
+    const int attempts = static_cast<int>(attempt);
+    if (attempts >= call->policy.max_attempts) {
+      settle(call, [call, attempts] {
+        if (call->stats) ++call->stats->give_ups;
+        bus(call).metrics_.give_ups->add();
+        if (trace::active()) {
+          trace::recorder()->instant(
+              trace::Category::kRpc, "rpc", "give-up " + label(call),
+              {{"attempts", std::to_string(attempts)},
+               {"client", call->client.to_string()},
+               {"server", call->server.to_string()}});
+        }
+        call->on_give_up();
+      });
+      return;
+    }
+    const SimDuration backoff =
+        retry_backoff(call->policy, attempts, *call->sim);
+    if (trace::active()) {
+      trace::recorder()->instant(
+          trace::Category::kRpc, "rpc", "backoff " + label(call),
+          {{"next_attempt", std::to_string(attempts + 1)},
+           {"backoff", format_duration(backoff)},
+           {"client", call->client.to_string()},
+           {"server", call->server.to_string()}});
+    }
+    schedule_relaunch(call, backoff, /*unless_settled=*/false);
+  }
+};
 
 }  // namespace detail
 
@@ -86,111 +227,11 @@ void call_with_retry(RpcBus& bus, sim::Simulation& sim,
                      const char* label = "call", CallOptions options = {},
                      std::function<Resp()> shed_response = nullptr,
                      std::function<bool(const Resp&)> retry_on = nullptr) {
-  struct State {
-    bool settled = false;
-    int attempt = 0;  // attempts issued so far
-    /// A retryable response arrived and its backoff relaunch is pending;
-    /// suppresses the same attempt's timeout so it cannot double-launch.
-    bool response_retry_pending = false;
-  };
-  auto state = std::make_shared<State>();
-  // Recursive attempt launcher, stored in a shared_ptr so the timeout
-  // callback can re-enter it. The stored lambda holds only a *weak* ref to
-  // itself — the pending timeout/backoff events carry the strong refs — so
-  // the launcher dies with its last scheduled event instead of keeping
-  // itself alive through a shared_ptr cycle.
-  auto launch = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_launch = launch;
-  *launch = [&bus, &sim, policy, client, server, handler = std::move(handler),
-             on_response = std::move(on_response),
-             on_give_up = std::move(on_give_up), stats, state, weak_launch,
-             label, options, shed_response = std::move(shed_response),
-             retry_on = std::move(retry_on)]() {
-    auto self = weak_launch.lock();  // alive: our caller holds a strong ref
-    state->response_retry_pending = false;
-    const int attempt = ++state->attempt;
-    if (attempt > 1) {
-      if (stats) ++stats->retries;
-      metrics::global_registry().counter("rpc.retries").add();
-      metrics::global_registry()
-          .counter(std::string("rpc.") + label + ".retries")
-          .add();
-      if (trace::active()) {
-        trace::recorder()->instant(
-            trace::Category::kRpc, "rpc", std::string("retry ") + label,
-            {{"attempt", std::to_string(attempt)},
-             {"client", client.to_string()},
-             {"server", server.to_string()}});
-      }
-    }
-    bus.call<Resp>(
-        client, server, handler,
-        [&sim, policy, attempt, state, self, on_response, retry_on,
-         label](Resp resp) {
-          if (state->settled) return;  // a slow earlier attempt already won
-          if (retry_on && retry_on(resp) && attempt < policy.max_attempts &&
-              state->attempt == attempt && !state->response_retry_pending) {
-            // Retryable rejection (e.g. overloaded): back off and relaunch.
-            state->response_retry_pending = true;
-            metrics::global_registry().counter("rpc.overload_retries").add();
-            metrics::global_registry()
-                .counter(std::string("rpc.") + label + ".overload_retries")
-                .add();
-            const SimDuration backoff =
-                detail::retry_backoff(policy, attempt, sim);
-            sim.schedule_after(backoff, [state, self]() {
-              if (state->settled) return;
-              (*self)();
-            });
-            return;
-          }
-          if (retry_on) {
-            // A stale rejection from a superseded attempt, or a duplicate
-            // while this attempt's backoff relaunch is pending: the in-flight
-            // attempt owns the outcome.
-            if (state->attempt != attempt && retry_on(resp)) return;
-            if (state->response_retry_pending && state->attempt == attempt) {
-              return;
-            }
-          }
-          state->settled = true;
-          on_response(std::move(resp));
-        },
-        options, shed_response);
-    sim.schedule_after(policy.timeout, [&sim, policy, attempt, state, self,
-                                        on_give_up, stats, client, server,
-                                        label]() {
-      if (state->settled || state->attempt != attempt ||
-          state->response_retry_pending) {
-        return;
-      }
-      if (attempt >= policy.max_attempts) {
-        state->settled = true;
-        if (stats) ++stats->give_ups;
-        metrics::global_registry().counter("rpc.give_ups").add();
-        if (trace::active()) {
-          trace::recorder()->instant(
-              trace::Category::kRpc, "rpc", std::string("give-up ") + label,
-              {{"attempts", std::to_string(attempt)},
-               {"client", client.to_string()},
-               {"server", server.to_string()}});
-        }
-        on_give_up();
-        return;
-      }
-      const SimDuration backoff = detail::retry_backoff(policy, attempt, sim);
-      if (trace::active()) {
-        trace::recorder()->instant(
-            trace::Category::kRpc, "rpc", std::string("backoff ") + label,
-            {{"next_attempt", std::to_string(attempt + 1)},
-             {"backoff", format_duration(backoff)},
-             {"client", client.to_string()},
-             {"server", server.to_string()}});
-      }
-      sim.schedule_after(backoff, [self]() { (*self)(); });
-    });
-  };
-  (*launch)();
+  detail::Retry<Resp>::start(bus, sim, policy, client, server,
+                             std::move(handler), std::move(on_response),
+                             std::move(on_give_up), std::move(stats), label,
+                             options, std::move(shed_response),
+                             std::move(retry_on));
 }
 
 }  // namespace smarth::rpc

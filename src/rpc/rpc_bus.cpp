@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
-#include "trace/metrics_registry.hpp"
 
 namespace smarth::rpc {
 
@@ -31,74 +30,96 @@ ServiceQueue* RpcBus::service_queue(NodeId server) const {
 }
 
 void RpcBus::record_dropped_call(NodeId client, NodeId server) {
-  metrics::global_registry().counter("rpc.calls_dropped").add();
+  metrics_.calls_dropped->add();
   SMARTH_DEBUG("rpc") << "dropped call " << client.value() << " -> "
                       << server.value() << " (endpoint down)";
 }
 
-void RpcBus::send_control(NodeId from, NodeId to, Bytes size,
-                          std::function<void()> on_delivered) {
-  SimDuration extra = 0;
-  if (chaos_.enabled()) {
-    Rng& rng = network_.simulation().rng();
-    if (chaos_.loss_probability > 0.0 &&
-        rng.uniform() < chaos_.loss_probability) {
-      metrics::global_registry().counter("rpc.messages_lost").add();
-      SMARTH_DEBUG("rpc") << "chaos lost control message " << from.value()
-                          << " -> " << to.value();
-      return;
-    }
-    extra = chaos_.delay_mean;
-    if (chaos_.delay_jitter > 0) {
-      extra += rng.uniform_int(0, chaos_.delay_jitter - 1);
-    }
-    if (extra > 0) {
-      metrics::global_registry().counter("rpc.messages_delayed").add();
-    }
+bool RpcBus::admit_under_chaos(NodeId from, NodeId to, SimDuration& extra) {
+  Rng& rng = network_.simulation().rng();
+  if (chaos_.loss_probability > 0.0 &&
+      rng.uniform() < chaos_.loss_probability) {
+    metrics_.messages_lost->add();
+    SMARTH_DEBUG("rpc") << "chaos lost control message " << from.value()
+                        << " -> " << to.value();
+    return false;
   }
-  auto transmit = [this, from, to, size,
-                   on_delivered = std::move(on_delivered)]() mutable {
-    network_.send(from, to, size, std::move(on_delivered),
-                  net::LinkPriority::kControl);
-  };
-  if (extra > 0) {
-    network_.simulation().schedule_after(extra, std::move(transmit));
-  } else {
-    transmit();
+  extra = chaos_.delay_mean;
+  if (chaos_.delay_jitter > 0) {
+    extra += rng.uniform_int(0, chaos_.delay_jitter - 1);
   }
+  if (extra > 0) metrics_.messages_delayed->add();
+  return true;
+}
+
+RpcBus::LabelCounters& RpcBus::label_counters(const char* label) {
+  for (const auto& counters : labels_) {
+    if (counters->name == label) return *counters;
+  }
+  return *labels_.emplace_back(std::make_unique<LabelCounters>(label));
 }
 
 void RpcBus::notify(NodeId sender, NodeId receiver,
                     std::function<void()> handler, CallOptions options) {
+  static_assert(sim::Simulation::Callback::stores_inline<NoticeStep>());
   if (host_down(sender) || host_down(receiver)) {
     record_dropped_call(sender, receiver);
     return;
   }
-  send_control(
-      sender, receiver, kRequestWireSize,
-      [this, sender, receiver, options,
-       handler = std::move(handler)]() mutable {
-        if (host_down(receiver)) {
-          record_dropped_call(sender, receiver);
-          return;
-        }
-        ServiceQueue* queue = service_queue(receiver);
-        if (queue == nullptr) {
-          network_.simulation().schedule_after(kServiceTime,
-                                               std::move(handler));
-          return;
-        }
-        auto guarded = [this, sender, receiver,
-                        handler = std::move(handler)]() mutable {
-          if (host_down(receiver)) {
-            record_dropped_call(sender, receiver);
-            return;
-          }
-          handler();
-        };
-        queue->submit(options.svc, options.tenant, std::move(guarded),
-                      /*shed=*/nullptr);
-      });
+  Notice* notice = notices_.acquire();
+  notice->bus = this;
+  ++records_in_use_;
+  notice->sender = sender;
+  notice->receiver = receiver;
+  notice->options = options;
+  notice->handler = std::move(handler);
+  send_control(sender, receiver, kRequestWireSize,
+               NoticeStep{notice, notice->generation, NoticeStage::kDeliver});
+}
+
+void RpcBus::run(const NoticeStep& step) {
+  Notice* notice = step.notice;
+  SMARTH_DCHECK(notice->generation == step.generation);
+  switch (step.stage) {
+    case NoticeStage::kDeliver: {
+      if (host_down(notice->receiver)) {
+        record_dropped_call(notice->sender, notice->receiver);
+        release(notice);
+        return;
+      }
+      ServiceQueue* queue = service_queue(notice->receiver);
+      if (queue == nullptr) {
+        network_.simulation().schedule_after(
+            kServiceTime, NoticeStep{notice, step.generation, NoticeStage::kRun});
+        return;
+      }
+      queue->submit(notice->options.svc, notice->options.tenant,
+                    NoticeStep{notice, step.generation, NoticeStage::kServe},
+                    NoticeStep{notice, step.generation, NoticeStage::kShed});
+      return;
+    }
+    case NoticeStage::kServe:
+      if (host_down(notice->receiver)) {
+        record_dropped_call(notice->sender, notice->receiver);
+        release(notice);
+        return;
+      }
+      [[fallthrough]];
+    case NoticeStage::kRun:
+      notice->handler();
+      release(notice);
+      return;
+    case NoticeStage::kShed:
+      release(notice);
+      return;
+  }
+}
+
+void RpcBus::release(Notice* notice) {
+  notice->handler = nullptr;
+  ++notice->generation;
+  notices_.release(notice);
+  --records_in_use_;
 }
 
 }  // namespace smarth::rpc

@@ -1,13 +1,9 @@
 #include "rpc/service_queue.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
-#include "trace/metrics_registry.hpp"
 
 namespace smarth::rpc {
 
@@ -17,15 +13,10 @@ namespace {
 /// Config::cost_heartbeat.
 constexpr double kBatchMarginalCost = 0.25;
 
-metrics::Counter& reg_counter(const char* name) {
-  return metrics::global_registry().counter(name);
-}
-
 }  // namespace
 
 void ServiceQueue::update_depth_gauge() {
-  metrics::global_registry().gauge("nn.rpc.queue_depth").set(
-      static_cast<double>(depth()));
+  metrics_.queue_depth->set(static_cast<double>(depth()));
 }
 
 ServiceQueue::ServiceQueue(sim::Simulation& sim, Config config)
@@ -68,26 +59,26 @@ std::size_t ServiceQueue::depth() const {
   return bands_[0].size() + bands_[1].size() + bands_[2].size();
 }
 
-void ServiceQueue::shed_op(Op op, bool cap_rejection) {
+void ServiceQueue::shed_op(Op& op, bool cap_rejection) {
   ++counters_.shed_total;
-  reg_counter("nn.rpc.shed").add();
+  metrics_.shed->add();
   if (op.cls == ServiceClass::kHeartbeat) {
     ++counters_.shed_heartbeats;
-    reg_counter("nn.rpc.shed_heartbeats").add();
+    metrics_.shed_heartbeats->add();
   } else if (op.cls == ServiceClass::kAddBlock) {
     ++counters_.shed_add_blocks;
-    reg_counter("nn.rpc.shed_add_blocks").add();
+    metrics_.shed_add_blocks->add();
   }
   if (cap_rejection) {
     ++counters_.addblock_cap_rejections;
-    reg_counter("nn.rpc.addblock_cap_rejections").add();
+    metrics_.addblock_cap_rejections->add();
   }
   if (op.shed) op.shed();
 }
 
 void ServiceQueue::enqueue(Op op) {
   ++counters_.admitted;
-  reg_counter("nn.rpc.admitted").add();
+  metrics_.admitted->add();
   if (config_.admission_control && op.cls == ServiceClass::kAddBlock &&
       op.tenant >= 0) {
     ++tenant_add_blocks_[op.tenant];
@@ -102,9 +93,8 @@ void ServiceQueue::enqueue(Op op) {
 }
 
 void ServiceQueue::submit(ServiceClass cls, std::int64_t tenant,
-                          std::function<void()> serve,
-                          std::function<void()> shed) {
-  Op op{cls, tenant, std::move(serve), std::move(shed), sim_.now()};
+                          Callback serve, Callback shed) {
+  Op op{cls, tenant, sim_.now(), std::move(serve), std::move(shed)};
   if (!config_.admission_control) {
     enqueue(std::move(op));  // unbounded FIFO: the undefended namenode
     return;
@@ -114,7 +104,7 @@ void ServiceQueue::submit(ServiceClass cls, std::int64_t tenant,
     auto it = tenant_add_blocks_.find(tenant);
     if (it != tenant_add_blocks_.end() &&
         it->second >= config_.per_tenant_addblock_cap) {
-      shed_op(std::move(op), /*cap_rejection=*/true);
+      shed_op(op, /*cap_rejection=*/true);
       return;
     }
   }
@@ -131,29 +121,26 @@ void ServiceQueue::submit(ServiceClass cls, std::int64_t tenant,
       }
     }
     if (victim_band < 0) {
-      shed_op(std::move(op), /*cap_rejection=*/false);
+      shed_op(op, /*cap_rejection=*/false);
       return;
     }
-    Op victim = std::move(bands_[victim_band].back());
-    bands_[victim_band].pop_back();
+    Op victim = bands_[victim_band].pop_back();
     if (victim.cls == ServiceClass::kAddBlock && victim.tenant >= 0) {
       auto it = tenant_add_blocks_.find(victim.tenant);
       if (it != tenant_add_blocks_.end() && it->second > 0) --it->second;
     }
-    shed_op(std::move(victim), /*cap_rejection=*/false);
+    shed_op(victim, /*cap_rejection=*/false);
   }
   enqueue(std::move(op));
 }
 
 void ServiceQueue::maybe_serve() {
   if (busy_) return;
-  auto batch = std::make_shared<std::vector<Op>>();
   SimDuration cost = 0;
   if (!config_.admission_control) {
     if (fifo_.empty()) return;
-    batch->push_back(std::move(fifo_.front()));
-    fifo_.pop_front();
-    cost = cost_of(batch->front().cls);
+    batch_.push_back(fifo_.pop_front());
+    cost = cost_of(batch_.front().cls);
   } else {
     int band = -1;
     for (int b = 2; b >= 0; --b) {
@@ -170,10 +157,7 @@ void ServiceQueue::maybe_serve() {
           std::min<std::size_t>(bands_[band].size(),
                                 static_cast<std::size_t>(
                                     config_.heartbeat_batch_max)));
-      for (int i = 0; i < n; ++i) {
-        batch->push_back(std::move(bands_[band].front()));
-        bands_[band].pop_front();
-      }
+      for (int i = 0; i < n; ++i) batch_.push_back(bands_[band].pop_front());
       cost = config_.cost_heartbeat +
              static_cast<SimDuration>(
                  static_cast<double>(config_.cost_heartbeat) *
@@ -181,40 +165,40 @@ void ServiceQueue::maybe_serve() {
       if (n > 1) {
         ++counters_.heartbeat_batches;
         counters_.heartbeats_batched += static_cast<std::uint64_t>(n);
-        reg_counter("nn.rpc.heartbeat_batches").add();
-        reg_counter("nn.rpc.heartbeats_batched").add(
-            static_cast<std::uint64_t>(n));
+        metrics_.heartbeat_batches->add();
+        metrics_.heartbeats_batched->add(static_cast<std::uint64_t>(n));
       }
     } else {
-      batch->push_back(std::move(bands_[band].front()));
-      bands_[band].pop_front();
-      cost = cost_of(batch->front().cls);
+      batch_.push_back(bands_[band].pop_front());
+      cost = cost_of(batch_.front().cls);
     }
   }
   busy_ = true;
   update_depth_gauge();
   const SimTime start = sim_.now();
-  auto& wait_hist = metrics::global_registry().histogram("nn.rpc.queue_wait_ns");
-  for (const Op& op : *batch) {
+  metrics::LatencyHistogram& wait_hist = metrics_.queue_wait.get();
+  for (const Op& op : batch_) {
     wait_hist.observe(static_cast<double>(start - op.enqueued_at));
   }
-  sim_.schedule_after(cost, "rpc.service", [this, batch]() {
-    auto& sojourn_hist =
-        metrics::global_registry().histogram("nn.rpc.sojourn_ns");
-    const SimTime done = sim_.now();
-    for (Op& op : *batch) {
-      sojourn_hist.observe(static_cast<double>(done - op.enqueued_at));
-      if (config_.admission_control && op.cls == ServiceClass::kAddBlock &&
-          op.tenant >= 0) {
-        auto it = tenant_add_blocks_.find(op.tenant);
-        if (it != tenant_add_blocks_.end() && it->second > 0) --it->second;
-      }
-      ++counters_.served;
-      if (op.serve) op.serve();
+  sim_.schedule_after(cost, "rpc.service", [this] { finish_batch(); });
+}
+
+void ServiceQueue::finish_batch() {
+  metrics::LatencyHistogram& sojourn_hist = metrics_.sojourn.get();
+  const SimTime done = sim_.now();
+  for (Op& op : batch_) {
+    sojourn_hist.observe(static_cast<double>(done - op.enqueued_at));
+    if (config_.admission_control && op.cls == ServiceClass::kAddBlock &&
+        op.tenant >= 0) {
+      auto it = tenant_add_blocks_.find(op.tenant);
+      if (it != tenant_add_blocks_.end() && it->second > 0) --it->second;
     }
-    busy_ = false;
-    maybe_serve();
-  });
+    ++counters_.served;
+    if (op.serve) op.serve();
+  }
+  batch_.clear();
+  busy_ = false;
+  maybe_serve();
 }
 
 }  // namespace smarth::rpc

@@ -22,12 +22,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/units.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/simulation.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::rpc {
 
@@ -69,6 +70,10 @@ class ServiceQueue {
     std::uint64_t heartbeats_batched = 0;
   };
 
+  /// An op's serve or shed action. The bus passes small pooled-record steps,
+  /// which stay inline.
+  using Callback = sim::Simulation::Callback;
+
   ServiceQueue(sim::Simulation& sim, Config config);
 
   /// Submits one op. Exactly one of `serve` / `shed` eventually runs:
@@ -76,8 +81,8 @@ class ServiceQueue {
   /// immediately if admission control rejects it (may be null — a shed
   /// notification is simply dropped, which is the point: a shed heartbeat's
   /// handler never executes, so it cannot feed suspicion or re-registration).
-  void submit(ServiceClass cls, std::int64_t tenant, std::function<void()> serve,
-              std::function<void()> shed);
+  void submit(ServiceClass cls, std::int64_t tenant, Callback serve,
+              Callback shed);
 
   const Counters& counters() const { return counters_; }
   /// Ops currently queued (not counting the batch in service).
@@ -86,11 +91,29 @@ class ServiceQueue {
 
  private:
   struct Op {
-    ServiceClass cls;
-    std::int64_t tenant;
-    std::function<void()> serve;
-    std::function<void()> shed;
-    SimTime enqueued_at;
+    ServiceClass cls = ServiceClass::kDefault;
+    std::int64_t tenant = -1;
+    SimTime enqueued_at = 0;
+    Callback serve;
+    Callback shed;
+  };
+
+  /// Registry metrics, looked up on first use.
+  struct Metrics {
+    metrics::Cached<metrics::Counter> admitted{"nn.rpc.admitted"};
+    metrics::Cached<metrics::Counter> shed{"nn.rpc.shed"};
+    metrics::Cached<metrics::Counter> shed_heartbeats{"nn.rpc.shed_heartbeats"};
+    metrics::Cached<metrics::Counter> shed_add_blocks{"nn.rpc.shed_add_blocks"};
+    metrics::Cached<metrics::Counter> addblock_cap_rejections{
+        "nn.rpc.addblock_cap_rejections"};
+    metrics::Cached<metrics::Counter> heartbeat_batches{
+        "nn.rpc.heartbeat_batches"};
+    metrics::Cached<metrics::Counter> heartbeats_batched{
+        "nn.rpc.heartbeats_batched"};
+    metrics::Cached<metrics::Gauge> queue_depth{"nn.rpc.queue_depth"};
+    metrics::Cached<metrics::LatencyHistogram> queue_wait{
+        "nn.rpc.queue_wait_ns"};
+    metrics::Cached<metrics::LatencyHistogram> sojourn{"nn.rpc.sojourn_ns"};
   };
 
   SimDuration cost_of(ServiceClass cls) const;
@@ -98,18 +121,23 @@ class ServiceQueue {
   /// Refreshes the nn.rpc.queue_depth gauge after any structural change, so
   /// the flight recorder can sample backlog as a time series.
   void update_depth_gauge();
-  void shed_op(Op op, bool cap_rejection);
+  void shed_op(Op& op, bool cap_rejection);
   void enqueue(Op op);
   void maybe_serve();
+  /// The batch's service time elapsed: serve every op in it.
+  void finish_batch();
 
   sim::Simulation& sim_;
   Config config_;
   Counters counters_;
+  Metrics metrics_;
   bool busy_ = false;
   /// Undefended mode: strict arrival-order FIFO across classes.
-  std::deque<Op> fifo_;
+  sim::RingQueue<Op> fifo_;
   /// Admission mode: one band per priority level (index = priority).
-  std::deque<Op> bands_[3];
+  sim::RingQueue<Op> bands_[3];
+  /// The ops in service (busy_), reused from batch to batch.
+  std::vector<Op> batch_;
   /// Queued + in-service addBlock ops per tenant.
   std::unordered_map<std::int64_t, int> tenant_add_blocks_;
 };

@@ -42,6 +42,12 @@ class RingQueue {
     return out;
   }
 
+  /// Removes and returns the back element. Precondition: !empty().
+  T pop_back() {
+    --size_;
+    return std::move(buf_[(head_ + size_) & (buf_.size() - 1)]);
+  }
+
  private:
   void grow() {
     std::vector<T> bigger(buf_.empty() ? 8 : buf_.size() * 2);

@@ -57,6 +57,12 @@ class BlockStore {
   std::size_t finalized_count() const;
   Bytes total_bytes() const;
   std::vector<ReplicaInfo> all_replicas() const;
+  /// Calls `f(const ReplicaInfo&)` for every replica, in all_replicas()
+  /// order, without copying them out.
+  template <typename F>
+  void for_each_replica(F&& f) const {
+    for (const auto& [id, entry] : replicas_) f(entry.info);
+  }
 
   // --- chunk-level integrity -----------------------------------------------
 

@@ -293,6 +293,49 @@ TEST_F(OverloadRetryTest, ShedResponseShortCircuitsTheServiceQueue) {
   EXPECT_EQ(queue.counters().shed_total, 1u);
 }
 
+TEST_F(OverloadRetryTest, DisplacedAndShedOpsReleaseTheirRecordsOnce) {
+  ServiceQueue::Config config;
+  config.admission_control = true;
+  config.queue_capacity = 1;
+  config.per_tenant_addblock_cap = 0;
+  config.cost_add_block = seconds(1);
+  ServiceQueue queue(sim_, config);
+  bus_.set_service_queue(server_, &queue);
+  const CallOptions add_block{ServiceClass::kAddBlock, -1};
+  std::vector<int> a_responses;
+  std::vector<int> b_responses;
+  int c_responses = 0;
+  int h1_runs = 0;
+  int h2_runs = 0;
+  // Requests arrive in send order. A is served; B waits in the one slot.
+  bus_.call<int>(client_, server_, [] { return 1; },
+                 [&a_responses](int v) { a_responses.push_back(v); },
+                 add_block, [] { return -1; });
+  bus_.call<int>(client_, server_, [] { return 2; },
+                 [&b_responses](int v) { b_responses.push_back(v); },
+                 add_block, [] { return -1; });
+  // H1 displaces queued B, which hears the typed rejection; H2 then finds
+  // no lower band to displace and is shed, as is C (no shed response: its
+  // caller would time out).
+  bus_.notify(client_, server_, [&h1_runs] { ++h1_runs; },
+              {ServiceClass::kHeartbeat, -1});
+  bus_.notify(client_, server_, [&h2_runs] { ++h2_runs; },
+              {ServiceClass::kHeartbeat, -1});
+  bus_.call<int>(client_, server_, [] { return 3; },
+                 [&c_responses](int) { ++c_responses; },
+                 {ServiceClass::kMeta, -1});
+  sim_.run();
+  EXPECT_EQ(a_responses, std::vector<int>{1});
+  EXPECT_EQ(b_responses, std::vector<int>{-1});
+  EXPECT_EQ(c_responses, 0);
+  EXPECT_EQ(h1_runs, 1);
+  EXPECT_EQ(h2_runs, 0);
+  EXPECT_EQ(queue.counters().shed_total, 3u);
+  // Each shed or displaced op gave its record back exactly once: a double
+  // release would trip the record's reference check or wrap this count.
+  EXPECT_EQ(bus_.records_in_use(), 0u);
+}
+
 // --- Registry plumbing ------------------------------------------------------
 
 // The eight overload counters, in the robustness table's row order.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "net/network.hpp"
 #include "rpc/rpc_bus.hpp"
@@ -107,6 +108,77 @@ TEST_F(RetryTest, SlowResponseSettlesExactlyOnce) {
   EXPECT_EQ(responses, 1);
   EXPECT_GE(stats->retries, 1u);
   EXPECT_GT(counter("rpc.messages_delayed"), 0u);
+}
+
+TEST_F(RetryTest, SupersededAttemptsLateResponsesAreDropped) {
+  // Every message takes 800 ms, so attempts 2 and 3 launch before attempt
+  // 1's response lands. The first response to arrive (attempt 1's) settles
+  // the call; the later attempts' responses reach the client and are
+  // dropped, and the record is released once the last of them is in.
+  RpcChaos chaos;
+  chaos.delay_mean = milliseconds(800);
+  bus_.set_chaos(chaos);
+  int handled = 0;
+  std::vector<int> responses;
+  call_with_retry<int>(
+      bus_, sim_, fast_policy(), client_, server_,
+      [&handled] { return ++handled; },
+      [&responses](int v) { responses.push_back(v); }, [] { FAIL(); });
+  sim_.run();
+  EXPECT_EQ(responses, std::vector<int>{1});
+  EXPECT_GT(handled, 1);
+  EXPECT_EQ(bus_.calls_completed(), static_cast<std::uint64_t>(handled));
+  EXPECT_EQ(bus_.records_in_use(), 0u);
+}
+
+TEST_F(RetryTest, ResponseAfterGiveUpRunsNothing) {
+  RpcChaos chaos;
+  chaos.delay_mean = milliseconds(800);
+  bus_.set_chaos(chaos);
+  RetryPolicy policy = fast_policy();
+  policy.max_attempts = 2;
+  int handled = 0;
+  int give_ups = 0;
+  call_with_retry<int>(
+      bus_, sim_, policy, client_, server_, [&handled] { return ++handled; },
+      [](int) { FAIL() << "the call already gave up"; },
+      [&give_ups] { ++give_ups; });
+  sim_.run();
+  EXPECT_EQ(give_ups, 1);
+  // Both attempts were served and both responses came back, after the
+  // give-up; neither ran anything on the caller.
+  EXPECT_EQ(handled, 2);
+  EXPECT_EQ(bus_.calls_completed(), 2u);
+  EXPECT_EQ(bus_.records_in_use(), 0u);
+}
+
+TEST_F(RetryTest, StaleTimeoutNeverActsOnARecycledRecord) {
+  // Call A settles within milliseconds and its record returns to the pool,
+  // but its attempt-1 timeout stays scheduled for 500 ms. Call B reuses the
+  // record at 100 ms against a down server. A's timeout must not be taken
+  // for B's: B's first retry waits for B's own deadline at 600 ms.
+  int a_responses = 0;
+  call_with_retry<int>(
+      bus_, sim_, fast_policy(), client_, server_, [] { return 1; },
+      [&a_responses](int) { ++a_responses; }, [] { FAIL(); });
+  sim_.run_until(milliseconds(100));
+  ASSERT_EQ(a_responses, 1);
+  ASSERT_EQ(bus_.records_in_use(), 0u);
+  bus_.set_host_down(server_, true);
+  auto stats = std::make_shared<RetryStats>();
+  int b_give_ups = 0;
+  call_with_retry<int>(
+      bus_, sim_, fast_policy(), client_, server_, [] { return 2; },
+      [](int) { FAIL() << "server is down"; },
+      [&b_give_ups] { ++b_give_ups; }, stats);
+  // A's stale deadline (500 ms) plus the largest first backoff (120 ms).
+  sim_.run_until(milliseconds(620));
+  EXPECT_EQ(bus_.calls_started(), 2u);
+  EXPECT_EQ(stats->retries, 0u);
+  sim_.run();
+  EXPECT_EQ(b_give_ups, 1);
+  EXPECT_EQ(stats->retries, 3u);
+  EXPECT_EQ(bus_.records_in_use(), 0u);
 }
 
 TEST_F(RetryTest, ChaosLossForcesGiveUp) {

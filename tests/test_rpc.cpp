@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
 
@@ -132,6 +135,69 @@ TEST_F(RpcTest, ControlPriorityBypassesBulkQueue) {
   const SimDuration bulk_total =
       Bandwidth::mbps(100).transmit_time(64 * 64 * kKiB);
   EXPECT_LT(responded_at, bulk_total / 4);
+}
+
+TEST_F(RpcTest, RecordsReturnToThePoolAfterEveryOutcome) {
+  int responses = 0;
+  bus_.call<int>(client_, server_, [] { return 1; },
+                 [&](int) { ++responses; });
+  bus_.notify(client_, server_, [] {});
+  sim_.run();
+  EXPECT_EQ(responses, 1);
+  EXPECT_EQ(bus_.records_in_use(), 0u);
+  // Lost on the way out, lost on the server, lost by chaos: no record leaks.
+  bus_.set_host_down(server_, true);
+  bus_.call<int>(client_, server_, [] { return 1; }, [&](int) { ++responses; });
+  bus_.notify(client_, server_, [] {});
+  bus_.set_host_down(server_, false);
+  bus_.call<int>(client_, server_, [] { return 1; }, [&](int) { ++responses; });
+  sim_.schedule_at(sim_.now() + 1, [this] { bus_.set_host_down(server_, true); });
+  sim_.run();
+  bus_.set_host_down(server_, false);
+  RpcChaos chaos;
+  chaos.loss_probability = 1.0;
+  bus_.set_chaos(chaos);
+  bus_.call<int>(client_, server_, [] { return 1; }, [&](int) { ++responses; });
+  bus_.notify(client_, server_, [] {});
+  sim_.run();
+  EXPECT_EQ(responses, 1);
+  EXPECT_EQ(bus_.records_in_use(), 0u);
+}
+
+TEST_F(RpcTest, StaleResponderNeverActsOnARecycledRecord) {
+  // Call 1 responds once and its record returns to the pool; call 2 (same
+  // response type, so the same record) is still waiting when call 1's
+  // continuation is invoked again. The generation check drops that stale
+  // answer, and call 2 hears only its own.
+  std::function<void(int)> first_respond;
+  std::function<void(int)> second_respond;
+  std::vector<int> first_responses;
+  std::vector<int> second_responses;
+  bus_.call_async<int>(
+      client_, server_,
+      [&first_respond](std::function<void(int)> respond) {
+        first_respond = std::move(respond);
+      },
+      [&first_responses](int v) { first_responses.push_back(v); });
+  sim_.schedule_at(seconds(1), [&first_respond] { first_respond(7); });
+  sim_.run();
+  ASSERT_EQ(first_responses, std::vector<int>{7});
+  ASSERT_EQ(bus_.records_in_use(), 0u);
+
+  bus_.call_async<int>(
+      client_, server_,
+      [&second_respond](std::function<void(int)> respond) {
+        second_respond = std::move(respond);
+      },
+      [&second_responses](int v) { second_responses.push_back(v); });
+  sim_.run_until(seconds(3));
+  ASSERT_TRUE(static_cast<bool>(second_respond));
+  first_respond(99);  // stale: call 1's record now belongs to call 2
+  sim_.schedule_at(seconds(4), [&second_respond] { second_respond(5); });
+  sim_.run();
+  EXPECT_EQ(first_responses, std::vector<int>{7});
+  EXPECT_EQ(second_responses, std::vector<int>{5});
+  EXPECT_EQ(bus_.records_in_use(), 0u);
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 // BENCH_engine_scale.json so the perf trajectory is machine-checkable: CI
 // gates on the median core speedup ratio over interleaved rounds, which is
 // machine-independent because both cores run in the same process on the
-// same workload, and steadier than any single round on a shared host.
+// same workload, and steadier than any single round on a shared host. Each
+// grid point also records its event count and the bytes its upload got
+// acknowledged by the horizon; both are exact for the config, and CI
+// requires them to equal the baseline.
 //
 //   bench_engine_scale [output.json]
 //
@@ -25,6 +28,7 @@
 #include "cluster/instance_profile.hpp"
 #include "sim/reference_queue.hpp"
 #include "sim/simulation.hpp"
+#include "trace/metrics_registry.hpp"
 
 using namespace smarth;
 
@@ -97,6 +101,8 @@ struct ScalePoint {
   int datanodes = 0;
   const char* fidelity = "packet";
   std::uint64_t events = 0;
+  /// The simulated outcome at the horizon: bytes the upload got acknowledged.
+  std::uint64_t bytes_acked = 0;
   double wall_s = 0;
   double sim_s = 0;
 
@@ -113,6 +119,8 @@ ScalePoint run_scale_point(int datanodes, hdfs::DataFidelity fidelity,
   cluster::ClusterSpec spec = cluster::homogeneous_cluster(
       cluster::small_instance(), static_cast<std::size_t>(datanodes), 42);
   spec.hdfs.fidelity = fidelity;
+  // Fresh metrics per point, before the cluster caches any of them.
+  metrics::global_registry().reset();
   cluster::Cluster cluster(spec);
   // One active upload keeps the data path hot; at 1000 nodes the heartbeat /
   // control plane is the dominant event source, which is the scale story.
@@ -127,6 +135,8 @@ ScalePoint run_scale_point(int datanodes, hdfs::DataFidelity fidelity,
   point.wall_s = wall_seconds_since(start);
   point.sim_s = sim_seconds;
   point.events = cluster.sim().events_executed();
+  point.bytes_acked =
+      metrics::global_registry().counter_value("client.bytes_acked");
   return point;
 }
 
@@ -196,10 +206,11 @@ int main(int argc, char** argv) {
       ScalePoint point =
           run_scale_point(datanodes, fidelity, sim_seconds, file_size);
       std::printf(
-          "%5d datanodes  %-6s  %9llu events  %8.0f events/s  "
-          "%7.2f wall-s per sim-hour\n",
+          "%5d datanodes  %-6s  %9llu events  %11llu bytes acked  "
+          "%8.0f events/s  %7.2f wall-s per sim-hour\n",
           point.datanodes, point.fidelity,
           static_cast<unsigned long long>(point.events),
+          static_cast<unsigned long long>(point.bytes_acked),
           point.events_per_sec(), point.wall_per_sim_hour());
       std::fflush(stdout);
       points.push_back(point);
@@ -226,6 +237,7 @@ int main(int argc, char** argv) {
     json += std::string("    {\"datanodes\": ") + std::to_string(p.datanodes) +
             ", \"fidelity\": \"" + p.fidelity +
             "\", \"events\": " + std::to_string(p.events) +
+            ", \"bytes_acked\": " + std::to_string(p.bytes_acked) +
             ", \"sim_seconds\": " + json_num(p.sim_s) +
             ", \"wall_seconds\": " + json_num(p.wall_s) +
             ", \"events_per_sec\": " + json_num(p.events_per_sec()) +
